@@ -47,6 +47,10 @@ DEFAULT_ENTRY_PATTERNS: tuple[str, ...] = (
     "*:SimKernel.run",
     "*:ConservativeEngine.run",
     "*:ConservativeEngine.schedule_at",
+    "*:ShardEngine.run_window",
+    "*:ShardEngine.schedule_at",
+    "*:ShardWorker.start",
+    "*:ShardWorker.handle",
     "*:NetworkSimulator.inject",
     "*:NetworkSimulator._handle_at",
     "*:BgpEngine.run",

@@ -52,12 +52,14 @@ cleanly (see PAPERS.md).
 
 from __future__ import annotations
 
+import bisect
 import importlib
 import multiprocessing as mp
 import os
 import signal
 import time
 import traceback
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
@@ -632,11 +634,12 @@ class ShardEngine:
     ) -> None:
         """Record one window's *measured* wall-clock decomposition.
 
-        Called by the worker loop with externally measured spans (the
-        loop owns the stopwatches so the barrier wait includes the pipe
-        round-trip, which the engine cannot see). Feeds the per-worker
-        ``parallel.*`` instruments and the tracer's measured channel;
-        every write is guarded, so an unobserved run records nothing.
+        Called by :class:`ShardWorker` with externally measured spans
+        (the worker owns the stopwatches so the barrier wait includes
+        the pipe round-trip, which the engine cannot see). Feeds the
+        per-worker ``parallel.*`` instruments and the tracer's measured
+        channel; every write is guarded, so an unobserved run records
+        nothing.
         """
         if self._obs.enabled:
             self._obs_window_execute.add(execute_s)
@@ -657,7 +660,7 @@ class ShardEngine:
 
 
 # ----------------------------------------------------------------------
-# Shared shard-side protocol steps (worker process and local group)
+# Shard-side protocol steps
 # ----------------------------------------------------------------------
 def _resolve_builder(path: str) -> Callable[..., ShardScenario]:
     module_name, _, fn_name = path.partition(":")
@@ -690,6 +693,31 @@ def _build_shard(
     return scenario, fn_to_name, name_to_fn
 
 
+def _wire_name(fn: Callable[..., Any], fn_to_name: dict[Any, str], what: str) -> str:
+    """The registered wire name of handler ``fn`` (``what`` ships it)."""
+    name = fn_to_name.get(fn)
+    if name is None:
+        raise UnregisteredHandlerError(
+            f"handler {fn!r} is not registered for cross-process {what}; "
+            "add it to the scenario's handlers dict"
+        )
+    return name
+
+
+def _wire_event(
+    item: Sequence, name_to_fn: dict[str, Callable[..., Any]], what: str
+) -> Event:
+    """Rebuild an event from its ``(node, time, key, handler, args)`` tuple."""
+    node, ev_time, key, handler, args = item
+    fn = name_to_fn.get(handler)
+    if fn is None:
+        raise UnregisteredHandlerError(
+            f"{what} references unknown handler {handler!r}; sender and "
+            "receiver scenarios disagree"
+        )
+    return Event(ev_time, tuple(key), fn, tuple(args), node)
+
+
 def _encode_outbound(
     engine: ShardEngine,
     shard_of: Sequence[int],
@@ -701,14 +729,9 @@ def _encode_outbound(
 
     buckets: list[list[tuple]] = [[] for _ in range(procs)]
     for target_lp, ev in engine.drain_outbound():
-        name = fn_to_name.get(ev.fn)
-        if name is None:
-            raise UnregisteredHandlerError(
-                f"handler {ev.fn!r} is not registered for cross-process "
-                "mail; add it to the scenario's handlers dict"
-            )
         buckets[int(shard_of[target_lp])].append(
-            (int(target_lp), int(ev.node), ev.time, ev.seq, name, ev.args)
+            (int(target_lp), int(ev.node), ev.time, ev.seq,
+             _wire_name(ev.fn, fn_to_name, "mail"), ev.args)
         )
     return [ser.encode_mail_batch(b) if b else b"" for b in buckets]
 
@@ -729,24 +752,8 @@ def _deliver_encoded_mail(
     engine.lookahead_violations += validate_mail_batch(
         items, barrier_time, engine.lookahead, strict=engine.strict
     )
-    for target_lp, node, time, key, handler, args in items:
-        fn = name_to_fn.get(handler)
-        if fn is None:
-            raise UnregisteredHandlerError(
-                f"mail references unknown handler {handler!r}; sender and "
-                "receiver scenarios disagree"
-            )
-        engine.push_remote(
-            target_lp, Event(time, tuple(key), fn, tuple(args), node)
-        )
-
-
-def _shard_result(engine: ShardEngine, scenario: ShardScenario) -> dict[str, Any]:
-    return {
-        "collect": scenario.collect() if scenario.collect is not None else None,
-        "events_executed": int(engine.events_executed),
-        "lookahead_violations": int(engine.lookahead_violations),
-    }
+    for item in items:
+        engine.push_remote(item[0], _wire_event(item[1:], name_to_fn, "mail"))
 
 
 # ----------------------------------------------------------------------
@@ -768,18 +775,11 @@ def _encode_lp_migration(
     """
     from .. import serialization as ser  # deferred: serialization -> core -> engine
 
-    events = engine.release_lp(lp)
-    items: list[tuple] = []
-    for ev in events:
-        name = fn_to_name.get(ev.fn)
-        if name is None:
-            raise UnregisteredHandlerError(
-                f"pending event on LP {lp} bound to unregistered handler "
-                f"{ev.fn!r}; the LP cannot migrate"
-            )
-        items.append(
-            (int(lp), int(ev.node), ev.time, ev.seq, name, ev.args)
-        )
+    items = [
+        (int(lp), int(ev.node), ev.time, ev.seq,
+         _wire_name(ev.fn, fn_to_name, "LP migration"), ev.args)
+        for ev in engine.release_lp(lp)
+    ]
     state = scenario.capture_lp(lp) if scenario.capture_lp is not None else None
     return ser.encode_migration({"lp": int(lp), "events": items, "state": state})
 
@@ -795,16 +795,13 @@ def _install_lp_migration(
 
     payload = ser.decode_migration(payload_bytes)
     lp = int(payload["lp"])
-    events = []
-    for _target_lp, node, time, key, handler, args in payload["events"]:
-        fn = name_to_fn.get(handler)
-        if fn is None:
-            raise UnregisteredHandlerError(
-                f"migration payload references unknown handler {handler!r}; "
-                "sender and receiver scenarios disagree"
-            )
-        events.append(Event(time, tuple(key), fn, tuple(args), node))
-    engine.adopt_lp(lp, events)
+    engine.adopt_lp(
+        lp,
+        [
+            _wire_event(item[1:], name_to_fn, "migration payload")
+            for item in payload["events"]
+        ],
+    )
     if scenario.restore_lp is not None and payload.get("state") is not None:
         scenario.restore_lp(lp, payload["state"])
     return len(payload_bytes)
@@ -814,21 +811,6 @@ def _install_lp_migration(
 #: eager registration and per-migration recording (histograms only
 #: merge across identical bounds)
 _CONCENTRATION_BOUNDS = (0.25, 0.5, 0.75, 0.9, 1.0)
-
-
-def _register_rebalance_instruments(reg) -> None:
-    """Register the ``rebalance.*`` instruments up front.
-
-    Called from the engine constructors when a rebalance config is
-    present, so the instruments exist in snapshots taken *before* the
-    first trigger or migration (and so the names-drift check sees them
-    by constructing an engine, like every other instrumented component).
-    """
-    reg.counter(obs_names.REBALANCE_TRIGGERS)
-    reg.counter(obs_names.REBALANCE_CANDIDATES)
-    reg.counter(obs_names.REBALANCE_MIGRATIONS)
-    reg.counter(obs_names.REBALANCE_STATE_BYTES)
-    reg.histogram(obs_names.REBALANCE_CONCENTRATION, _CONCENTRATION_BOUNDS)
 
 
 def _record_migration_obs(decision, state_bytes: int) -> None:
@@ -864,25 +846,6 @@ def _record_rebalance_counters(rebalancer, prev: tuple[int, int]) -> tuple[int, 
     return triggers, scored
 
 
-def _build_rebalancer(config, shards, num_lps, spec, until, affinity=None):
-    """Construct the controller-side :class:`Rebalancer` for one run.
-
-    Fault slowdown spans come from the scenario spec's ``faults`` param
-    (the same schedule the injector replays), so the modeled blame
-    source sees straggler slowdowns without measuring anything.
-    """
-    from ..partition.rebalance import Rebalancer, slowdown_spans
-
-    spans = ()
-    params = getattr(spec, "params", None)
-    faults = params.get("faults") if isinstance(params, dict) else None
-    if faults:
-        spans = slowdown_spans(faults, float(until))
-    return Rebalancer(
-        config, shards, num_lps, spans=spans, affinity=affinity
-    )
-
-
 # ----------------------------------------------------------------------
 # Checkpoint / recovery helpers (fault-tolerant execution)
 # ----------------------------------------------------------------------
@@ -905,16 +868,11 @@ def _snapshot_queue_items(queue, fn_to_name: dict[Any, str]) -> list[tuple]:
     queue.extend_entries(entries)
     live = [e for e in entries if not e[2].cancelled]
     live.sort(key=lambda e: (e[0], e[1]))
-    items: list[tuple] = []
-    for _time, _key, ev in live:
-        name = fn_to_name.get(ev.fn)
-        if name is None:
-            raise UnregisteredHandlerError(
-                f"pending event bound to unregistered handler {ev.fn!r}; "
-                "the shard cannot checkpoint"
-            )
-        items.append((int(ev.node), ev.time, tuple(ev.seq), name, ev.args))
-    return items
+    return [
+        (int(ev.node), ev.time, tuple(ev.seq),
+         _wire_name(ev.fn, fn_to_name, "checkpoints"), ev.args)
+        for _time, _key, ev in live
+    ]
 
 
 def _capture_engine_state(
@@ -959,14 +917,8 @@ def _restore_engine_state(
 
     def _reload(queue, items):
         queue.drain_entries()
-        for node, ev_time, key, handler, args in items:
-            fn = name_to_fn.get(handler)
-            if fn is None:
-                raise UnregisteredHandlerError(
-                    f"checkpoint references unknown handler {handler!r}; "
-                    "the rebuilt scenario disagrees with the captured one"
-                )
-            queue.push_event(Event(ev_time, tuple(key), fn, tuple(args), node))
+        for item in items:
+            queue.push_event(_wire_event(item, name_to_fn, "checkpoint"))
 
     for i, lp in enumerate(engine.owned_lps):
         _reload(engine._queues[i], state["queues"][int(lp)])
@@ -1098,16 +1050,6 @@ def _synthesize_dead_result(blob: bytes | None) -> dict[str, Any]:
     }
 
 
-def _register_recovery_instruments(reg) -> None:
-    """Register the ``recovery.*`` instruments up front (see rebalance)."""
-    reg.counter(obs_names.RECOVERY_CHECKPOINTS)
-    reg.counter(obs_names.RECOVERY_CHECKPOINT_BYTES)
-    reg.counter(obs_names.RECOVERY_DETECTIONS)
-    reg.counter(obs_names.RECOVERY_RESPAWNS)
-    reg.counter(obs_names.RECOVERY_REPLAYED)
-    reg.counter(obs_names.RECOVERY_ADOPTIONS)
-
-
 def _record_recovery_obs(kind: str, window_index: int, shard_id: int, **detail) -> None:
     """Controller-side recovery instruments + trace record (obs-gated)."""
     reg = get_registry()
@@ -1129,50 +1071,358 @@ def _record_recovery_obs(kind: str, window_index: int, shard_id: int, **detail) 
     get_tracer().recovery_step(window_index, shard_id, kind, **detail)
 
 
-def _teardown_worker(conn, proc, grace_s: float = 5.0) -> None:
-    """Always release both pipe ends and escalate join→terminate→kill."""
-    try:
-        conn.close()
-    except OSError:  # pragma: no cover - already closed
-        pass
-    if proc is None:
-        return
-    proc.join(timeout=grace_s)
-    if proc.is_alive():
-        proc.terminate()
-        proc.join(timeout=grace_s)
-    if proc.is_alive():  # pragma: no cover - terminate-resistant worker
-        proc.kill()
-        proc.join(timeout=grace_s)
-
-
-def _crash_error(shard_id: int, proc, what: str, hung: bool = False):
+def _worker_lost(
+    shard_id: int, what: str, exitcode: int | None, hung: bool = False
+) -> WorkerCrashError:
     """Build a typed `WorkerCrashError` carrying shard/exit diagnostics."""
-    exitcode = getattr(proc, "exitcode", None)
-    if exitcode is None and not hung and hasattr(proc, "join"):
-        # An EOF can surface before the dead child is reaped, in which
-        # case exitcode still reads None; give the reap a moment.
-        proc.join(0.5)
-        exitcode = getattr(proc, "exitcode", None)
-    if hung:
-        err = WorkerCrashError(
-            f"worker {shard_id} {what} (process still alive: hang suspected)"
-        )
-    else:
-        err = WorkerCrashError(f"worker {shard_id} {what} (exitcode {exitcode})")
+    state = "process still alive: hang suspected" if hung else f"exitcode {exitcode}"
+    err = WorkerCrashError(f"worker {shard_id} {what} ({state})")
     err.shard_id = shard_id
     err.exitcode = exitcode
     err.hung = hung
     return err
 
 
+class _PlannedFault(Exception):
+    """A fault-plan entry fired: the worker dies here, as ``kind`` says."""
+
+    def __init__(self, kind) -> None:
+        super().__init__(kind)
+        self.kind = kind
+
+
+def _check_message(msg: tuple, sender: str, kind: str, window: int | None = None):
+    """The barrier protocol's one desync check; returns ``msg``."""
+    if msg[0] != kind or (window is not None and msg[1] != window):
+        expected = kind if window is None else f"{kind} {window}"
+        raise ParallelBackendError(
+            f"barrier protocol desync: {sender} sent {msg[:2]!r}, "
+            f"expected {expected}"
+        )
+    return msg
+
+
+# ----------------------------------------------------------------------
+# Worker: one shard's side of the barrier protocol
+# ----------------------------------------------------------------------
+class ShardWorker:
+    """One shard's side of the barrier protocol, advanced by messages.
+
+    :meth:`start` builds (or restores) the shard and runs until the
+    worker first needs the controller; :meth:`handle` consumes one
+    controller message and runs until the next. Replies leave through
+    ``send``. A transport drives the worker: a pipe loop in a worker
+    process (:func:`_worker_main`) or direct calls in the controller's
+    process (:class:`_InProcessTransport`) — the protocol is this one
+    class either way.
+
+    Per window the worker sends ``("window", w, payloads, events_col,
+    remote_col, xshard_col)`` and then expects ``("mail", w,
+    payloads)`` carrying everyone's mail for it.
+
+    When the config carries an ``obs`` stanza the worker enables its
+    own process-global registry/tracer, measures per-window wall-clock
+    spans, and appends a registry + trace snapshot to the ``done``
+    result (with ``incremental`` on, also a per-window registry delta as
+    a seventh element of each window tuple). With obs off, none of that
+    code runs and every message is byte-identical to a build without
+    the observability layer — mail adds zero bytes.
+
+    When the config carries a ``rebalance`` stanza the mail message
+    grows a fourth element — ``None`` or a migration plan ``[(lp, src,
+    dst), ...]`` decided by the controller. On a plan, the worker first
+    delivers its mail (routed by the *old* placement, so inbound events
+    land in the departing LP's queue before extraction), then updates
+    its local ``shard_of``, sends ``("migrate", w, {lp: payload})`` for
+    LPs it releases (empty dict otherwise), and expects ``("install",
+    w, {lp: payload})`` carrying LPs it adopts. Payload bytes ride
+    these control messages only — never barrier mail. With ``source ==
+    "measured"`` the worker additionally appends its measured execute
+    seconds as the *last* element of every window message (measured
+    regardless of obs, since the controller's blame needs it).
+
+    When the config carries a ``recovery`` stanza the worker sends
+    ``("ckpt", w, digest, blob)`` after the mail round of every cadence
+    window, raises :class:`_PlannedFault` where its slice of the fault
+    plan says the worker dies (the transport carries the death out), and
+    understands two extra inbound shapes: a config ``resume`` block
+    (restore from a checkpoint blob, then privately replay
+    controller-retained mail up to the crash frontier) and a
+    ``("rollback", c, blob, installs, shard_of)`` message in place of
+    mail (restore to the committed window ``c`` and rejoin at ``c + 1``
+    — the degraded-adoption path). Checkpoint bytes ride these control
+    messages only, never barrier mail, and with the stanza absent every
+    wire message is byte-identical to a build without recovery.
+    """
+
+    def __init__(self, config: dict[str, Any], send: Callable[[tuple], None]) -> None:
+        self.config = config
+        self._send = send
+        self.shard_id = int(config["shard_id"])
+        obs_cfg = config.get("obs")
+        self.obs_on = configure_worker_observability(obs_cfg)
+        self.incremental = self.obs_on and bool(obs_cfg.get("incremental"))
+        rec_cfg = config.get("recovery") or {}
+        #: checkpoint cadence in windows; 0 means recovery is off
+        self.ckpt_every = int(rec_cfg.get("checkpoint_every_n_windows", 0))
+        plan = rec_cfg.get("fault_plan")
+        self.faults = plan.for_shard(self.shard_id) if plan is not None else ()
+        self.incarnation = int(config.get("incarnation", 0))
+        rb_cfg = config.get("rebalance") or {}
+        self.rb_measured = rb_cfg.get("source") == "measured"
+        self.measure_exec = self.obs_on or self.rb_measured
+        self.shard_of = list(config["shard_of"])
+        self.boundaries = list(
+            iter_windows(0.0, config["lookahead"], config["until"])
+        )
+        self.label = f"worker-{self.shard_id}"
+        self.barrier_wait_s = 0.0
+        self.obs_bytes = 0
+        self.mail_bytes = 0
+        self.next_w = 0
+        self.finished = False
+        self._expect = ("mail", -1)
+        self._clock = Stopwatch()
+        self._waiting = Stopwatch()
+        self._prev_snap = None
+        # Spans of the window in flight, recorded once its round ends.
+        self._spans: tuple = ()
+
+    # -- lifecycle -------------------------------------------------------
+    def start(self) -> None:
+        """Build or restore the shard, replay, and report the first window."""
+        from .. import serialization as ser  # deferred: serialization -> core -> engine
+
+        resume = self.config.get("resume") or {}
+        if resume.get("checkpoint") is not None:
+            self._restore(resume["checkpoint"])
+        else:
+            self._build(self.config["owned_lps"])
+        if self.incremental:
+            self._prev_snap = RegistrySnapshot.capture(
+                shard_id=self.shard_id, label=self.label
+            )
+        if resume.get("replay"):
+            # Private replay after a respawn: re-run the crashed windows
+            # from controller-retained mail. Regenerated outbound mail is
+            # counted (the totals must match an uninterrupted run) but
+            # discarded — the live recipients consumed the originals.
+            for rw, inbound in ser.decode_replay_buffer(resume["replay"]):
+                rw = int(rw)
+                self._maybe_fire_fault(rw, after_send=False)
+                _rw, _rs, rend = self.boundaries[rw]
+                self.engine.run_window(rw, rend)
+                payloads = self._encode_outbound()
+                self.mail_bytes += sum(len(p) for p in payloads)
+                self._maybe_fire_fault(rw, after_send=True)
+                _deliver_encoded_mail(self.engine, inbound, rend, self.name_to_fn)
+                self.next_w = rw + 1
+        self._run_next_window()
+
+    def handle(self, msg: tuple) -> None:
+        """Consume one controller message and run until the next one."""
+        kind, w = self._expect
+        if kind == "mail":
+            wait_s = self._waiting.elapsed()
+            self.barrier_wait_s += wait_s
+            if self.ckpt_every and msg[0] == "rollback":
+                self._rollback(msg)
+                self._run_next_window()
+                return
+        _check_message(msg, "controller", kind, w)
+        if kind == "install":
+            self._install(msg[2])
+            self._end_round(w)
+            return
+        if self.obs_on:
+            self._clock.restart()
+        _deliver_encoded_mail(
+            self.engine, msg[2], self.boundaries[w][2], self.name_to_fn
+        )
+        self._spans += (wait_s, self._clock.elapsed() if self.obs_on else 0.0)
+        plan = msg[3] if len(msg) > 3 else None  # rebalancing runs only
+        if plan:
+            outgoing: dict[int, bytes] = {}
+            for lp, src, dst in plan:
+                lp = int(lp)
+                if int(src) == self.shard_id:
+                    outgoing[lp] = _encode_lp_migration(
+                        self.engine, self.scenario, self.fn_to_name, lp
+                    )
+                self.shard_of[lp] = int(dst)
+            self._send(("migrate", w, outgoing))
+            self._expect = ("install", w)
+            return
+        self._end_round(w)
+
+    # -- protocol steps --------------------------------------------------
+    def _build(self, owned: Sequence[int]) -> None:
+        c = self.config
+        self.engine = ShardEngine(
+            c["assignment"],
+            c["num_lps"],
+            c["lookahead"],
+            owned,
+            strict=c["strict"],
+            queue=c["queue"],
+            shard_id=self.shard_id,
+            num_shards=c["procs"],
+        )
+        self.scenario, self.fn_to_name, self.name_to_fn = _build_shard(
+            self.engine, c["spec"]
+        )
+        self.mail_bytes = 0
+        self.next_w = 0
+
+    def _restore(self, blob: bytes) -> None:
+        c = self.config
+        self.engine, self.scenario, self.fn_to_name, self.name_to_fn, payload = (
+            _restore_shard_from_blob(
+                blob,
+                c["assignment"],
+                c["num_lps"],
+                c["lookahead"],
+                c["spec"],
+                c["strict"],
+                c["queue"],
+                c["procs"],
+            )
+        )
+        self.mail_bytes = int(payload["acc"]["mail_bytes"])
+        self.next_w = int(payload["window_index"]) + 1
+
+    def _rollback(self, msg: tuple) -> None:
+        # ("rollback", c, blob, installs, shard_of): a sibling died and
+        # respawns are exhausted — every survivor rewinds to the
+        # committed checkpoint window c, the adopter additionally
+        # installs the dead shard's LPs.
+        _kind, _c, blob, installs, shard_of = msg
+        if blob is not None:
+            self._restore(blob)
+        else:
+            # Nothing committed yet: restart from window 0 with the
+            # post-adoption placement (the adopter owns the dead shard's
+            # LPs from setup — there is no state to install).
+            self._build(
+                [lp for lp, s in enumerate(shard_of) if int(s) == self.shard_id]
+            )
+        self._install(installs)
+        self.shard_of = [int(s) for s in shard_of]
+
+    def _install(self, payloads: dict[int, bytes]) -> None:
+        """Adopt migrated LPs from their wire payloads, in LP order."""
+        for lp in sorted(payloads):
+            _install_lp_migration(
+                self.engine, self.scenario, self.name_to_fn, payloads[lp]
+            )
+
+    def _encode_outbound(self) -> list[bytes]:
+        return _encode_outbound(
+            self.engine, self.shard_of, self.fn_to_name, self.config["procs"]
+        )
+
+    def _maybe_fire_fault(self, window_index: int, after_send: bool) -> None:
+        for pf in self.faults:
+            if (
+                pf.window == window_index
+                and pf.incarnation == self.incarnation
+                and bool(pf.after_send) == after_send
+            ):
+                raise _PlannedFault(pf.kind)
+
+    def _run_next_window(self) -> None:
+        """Run and report the next window, or report the finished shard."""
+        if self.next_w >= len(self.boundaries):
+            self._finish()
+            return
+        w, _start, end = self.boundaries[self.next_w]
+        self._maybe_fire_fault(w, after_send=False)
+        clock = self._clock
+        if self.measure_exec:
+            clock.restart()
+        executed = self.engine.run_window(w, end)
+        execute_s = clock.elapsed() if self.measure_exec else 0.0
+        if self.obs_on:
+            clock.restart()
+        payloads = self._encode_outbound()
+        encode_s = clock.elapsed() if self.obs_on else 0.0
+        window_mail = sum(len(p) for p in payloads)
+        self.mail_bytes += window_mail
+        self._spans = (executed, execute_s, encode_s, window_mail)
+        message = (
+            "window",
+            w,
+            payloads,
+            self.engine.events_this_window.tolist(),
+            self.engine.remote_this_window.tolist(),
+            self.engine.xshard_this_window.tolist(),
+        )
+        if self.incremental:
+            # deferred: serialization -> core -> engine
+            from .. import serialization as ser
+
+            snap = RegistrySnapshot.capture(shard_id=self.shard_id, label=self.label)
+            delta = ser.encode_snapshot(snap.diff(self._prev_snap))
+            self._prev_snap = snap
+            self.obs_bytes += len(delta)
+            message = message + (delta,)
+        if self.rb_measured:
+            message = message + (execute_s,)
+        self._send(message)
+        self._maybe_fire_fault(w, after_send=True)
+        self._expect = ("mail", w)
+        self._waiting.restart()
+
+    def _end_round(self, w: int) -> None:
+        """Close window ``w``'s barrier round, then run the next window."""
+        if self.ckpt_every and (w + 1) % self.ckpt_every == 0:
+            blob = _encode_worker_checkpoint(
+                self.engine, self.scenario, self.fn_to_name, w, self.mail_bytes
+            )
+            self._send(("ckpt", w, checkpoint_digest(blob), blob))
+        if self.obs_on:
+            executed, execute_s, encode_s, window_mail, wait_s, decode_s = self._spans
+            self.engine.observe_window_walls(
+                w, executed, execute_s, wait_s, encode_s, decode_s, window_mail
+            )
+        self.next_w = w + 1
+        self._run_next_window()
+
+    def _finish(self) -> None:
+        from .. import serialization as ser  # deferred: serialization -> core -> engine
+
+        collect = self.scenario.collect
+        result = {
+            "collect": collect() if collect is not None else None,
+            "events_executed": int(self.engine.events_executed),
+            "lookahead_violations": int(self.engine.lookahead_violations),
+            "barrier_wait_s": self.barrier_wait_s,
+            "mail_bytes": self.mail_bytes,
+        }
+        if self.obs_on:
+            result["obs_bytes"] = self.obs_bytes
+            result["obs"] = {
+                "registry": RegistrySnapshot.capture(
+                    shard_id=self.shard_id, label=self.label
+                ),
+                "trace": TraceSnapshot.capture(
+                    shard_id=self.shard_id, label=self.label
+                ),
+            }
+        self.finished = True
+        self._send(("done", ser.encode_payload(result)))
+
+
+# ----------------------------------------------------------------------
+# Transports: how controller and workers exchange protocol messages
+# ----------------------------------------------------------------------
 def _fire_process_fault(conn, kind) -> None:
-    """Execute one injected process-level fault (worker side)."""
+    """Execute one injected process-level fault (worker process side)."""
     from ..faults.plan import ProcessFaultKind  # deferred: faults -> engine
 
-    if kind is ProcessFaultKind.SIGKILL or kind == ProcessFaultKind.SIGKILL.value:
+    if kind is ProcessFaultKind.SIGKILL:
         os.kill(os.getpid(), signal.SIGKILL)
-    elif kind is ProcessFaultKind.HANG or kind == ProcessFaultKind.HANG.value:
+    elif kind is ProcessFaultKind.HANG:
         while True:  # pragma: no cover - reaped by the controller
             time.sleep(3600.0)
     else:  # pipe drop: vanish without a goodbye on the wire
@@ -1183,287 +1433,28 @@ def _fire_process_fault(conn, kind) -> None:
         os._exit(1)
 
 
-def _maybe_fire_fault(conn, faults, window_index: int, incarnation: int,
-                      after_send: bool) -> None:
-    """Fire the planned fault matching this (window, incarnation, phase)."""
-    for pf in faults:
-        if (
-            pf.window == window_index
-            and pf.incarnation == incarnation
-            and bool(pf.after_send) == after_send
-        ):
-            _fire_process_fault(conn, pf.kind)
+def _worker_main(conn, config_bytes: bytes, inherited: Sequence = ()) -> None:
+    """Worker process entry: drive a :class:`ShardWorker` over ``conn``.
 
-
-def _worker_main(conn, config_bytes: bytes) -> None:
-    """Worker process entry: build, run windows, talk the barrier wire.
-
-    Per window the worker sends ``("window", w, payloads, events_col,
-    remote_col, xshard_col)`` and blocks until the controller routes
-    everyone's mail
-    back as ``("mail", w, payloads)``. Failures surface as ``("error",
-    traceback_text)`` so the controller can raise a typed error instead
-    of deadlocking at the barrier.
-
-    When the controller's config carries an ``obs`` stanza the worker
-    enables its own process-global registry/tracer, measures per-window
-    wall-clock spans, and appends a registry + trace snapshot to the
-    ``done`` result (with ``incremental`` on, also a per-window registry
-    delta as a sixth element of each window tuple). With obs off, none
-    of that code runs and every message is byte-identical to a build
-    without the observability layer — mail adds zero bytes.
-
-    When the config carries a ``rebalance`` stanza the mail message
-    grows a fourth element — ``None`` or a migration plan ``[(lp, src,
-    dst), ...]`` decided by the controller. On a plan, every worker
-    first delivers its mail (routed by the *old* placement, so inbound
-    events land in the departing LP's queue before extraction), then
-    updates its local ``shard_of``, sends ``("migrate", w, {lp:
-    payload})`` for LPs it releases (empty dict otherwise), and blocks
-    for ``("install", w, {lp: payload})`` carrying LPs it adopts.
-    Payload bytes ride these pipe messages only — never barrier mail.
-    With ``source == "measured"`` the worker additionally appends its
-    measured per-window execute seconds as the *last* element of every
-    window message (measured regardless of obs, since the controller's
-    blame needs it).
-
-    When the config carries a ``recovery`` stanza the worker sends
-    ``("ckpt", w, digest, blob)`` after the mail round of every cadence
-    window, and understands two extra inbound shapes: a config
-    ``resume`` block (restore from a checkpoint blob, then privately
-    replay controller-retained mail up to the crash frontier) and a
-    ``("rollback", c, blob, installs, shard_of)`` message in place of
-    mail (restore to the committed window ``c`` and rejoin at ``c + 1``
-    — the degraded-adoption path). Checkpoint bytes ride these control
-    messages only, never barrier mail, and with the stanza absent every
-    wire message is byte-identical to a build without recovery.
+    ``inherited`` holds the controller-side pipe ends a forked child
+    inherits; they are closed first, so the controller closing its end
+    (or dying) is an EOF here and the worker exits instead of waiting
+    forever. Failures surface as ``("error", traceback_text)`` so the
+    controller can raise a typed error instead of deadlocking at the
+    barrier.
     """
     from .. import serialization as ser  # deferred: serialization -> core -> engine
 
+    for other in inherited:
+        other.close()
     try:
-        config = ser.decode_payload(config_bytes)
-        obs_cfg = config.get("obs")
-        obs_on = configure_worker_observability(obs_cfg)
-        shard_id = config["shard_id"]
-        rec_cfg = config.get("recovery")
-        rec_on = bool(rec_cfg)
-        ckpt_every = int(rec_cfg["checkpoint_every_n_windows"]) if rec_on else 0
-        incarnation = int(config.get("incarnation", 0))
-        my_faults: tuple = ()
-        if rec_on and rec_cfg.get("fault_plan") is not None:
-            my_faults = rec_cfg["fault_plan"].for_shard(shard_id)
-        procs = config["procs"]
-        mail_bytes = 0
-        resume = config.get("resume")
-        if resume is not None and resume.get("checkpoint") is not None:
-            engine, scenario, fn_to_name, name_to_fn, ckpt_payload = (
-                _restore_shard_from_blob(
-                    resume["checkpoint"],
-                    config["assignment"],
-                    config["num_lps"],
-                    config["lookahead"],
-                    config["spec"],
-                    config["strict"],
-                    config["queue"],
-                    procs,
-                )
-            )
-            next_w = int(ckpt_payload["window_index"]) + 1
-            mail_bytes = int(ckpt_payload["acc"]["mail_bytes"])
-        else:
-            engine = ShardEngine(
-                config["assignment"],
-                config["num_lps"],
-                config["lookahead"],
-                config["owned_lps"],
-                strict=config["strict"],
-                queue=config["queue"],
-                shard_id=shard_id,
-                num_shards=procs,
-            )
-            scenario, fn_to_name, name_to_fn = _build_shard(engine, config["spec"])
-            next_w = 0
-        shard_of = list(config["shard_of"])
-        rb_cfg = config.get("rebalance")
-        rb_on = bool(rb_cfg)
-        rb_measured = rb_on and rb_cfg.get("source") == "measured"
-        barrier_wait_s = 0.0
-        obs_bytes = 0
-        waiting = Stopwatch()
-        label = f"worker-{shard_id}"
-        incremental = bool(obs_cfg.get("incremental")) if obs_on else False
-        prev_snap = (
-            RegistrySnapshot.capture(shard_id=shard_id, label=label)
-            if incremental
-            else None
-        )
-        clock = Stopwatch()
-        measure_exec = obs_on or rb_measured
-        boundaries = list(iter_windows(0.0, engine.lookahead, config["until"]))
-        if resume is not None and resume.get("replay"):
-            # Private replay after a respawn: re-run the crashed windows
-            # from controller-retained mail. Regenerated outbound mail is
-            # counted (the totals must match an uninterrupted run) but
-            # discarded — the live recipients consumed the originals.
-            for rw, inbound in ser.decode_replay_buffer(resume["replay"]):
-                rw = int(rw)
-                _maybe_fire_fault(conn, my_faults, rw, incarnation, False)
-                _rw, _rs, rend = boundaries[rw]
-                engine.run_window(rw, rend)
-                payloads = _encode_outbound(engine, shard_of, fn_to_name, procs)
-                mail_bytes += sum(len(p) for p in payloads)
-                _maybe_fire_fault(conn, my_faults, rw, incarnation, True)
-                _deliver_encoded_mail(engine, inbound, rend, name_to_fn)
-                next_w = rw + 1
-        i = next_w
-        while i < len(boundaries):
-            w, _start, end = boundaries[i]
-            if rec_on:
-                _maybe_fire_fault(conn, my_faults, w, incarnation, False)
-            if measure_exec:
-                clock.restart()
-            executed = engine.run_window(w, end)
-            execute_s = clock.elapsed() if measure_exec else 0.0
-            if obs_on:
-                clock.restart()
-            payloads = _encode_outbound(engine, shard_of, fn_to_name, procs)
-            encode_s = clock.elapsed() if obs_on else 0.0
-            window_mail = sum(len(p) for p in payloads)
-            mail_bytes += window_mail
-            message = (
-                "window",
-                w,
-                payloads,
-                engine.events_this_window.tolist(),
-                engine.remote_this_window.tolist(),
-                engine.xshard_this_window.tolist(),
-            )
-            if incremental:
-                snap = RegistrySnapshot.capture(shard_id=shard_id, label=label)
-                delta = ser.encode_snapshot(snap.diff(prev_snap))
-                prev_snap = snap
-                obs_bytes += len(delta)
-                message = message + (delta,)
-            if rb_measured:
-                message = message + (execute_s,)
-            conn.send(message)
-            if rec_on:
-                _maybe_fire_fault(conn, my_faults, w, incarnation, True)
-            waiting.restart()
-            msg = conn.recv()
-            wait_s = waiting.elapsed()
-            barrier_wait_s += wait_s
-            if rec_on and msg[0] == "rollback":
-                # ("rollback", c, blob, installs, shard_of): a sibling
-                # died and respawns are exhausted — every survivor
-                # rewinds to the committed checkpoint window c, the
-                # adopter additionally installs the dead shard's LPs.
-                blob = msg[2]
-                if blob is not None:
-                    engine, scenario, fn_to_name, name_to_fn, ckpt_payload = (
-                        _restore_shard_from_blob(
-                            blob,
-                            config["assignment"],
-                            config["num_lps"],
-                            config["lookahead"],
-                            config["spec"],
-                            config["strict"],
-                            config["queue"],
-                            procs,
-                        )
-                    )
-                    mail_bytes = int(ckpt_payload["acc"]["mail_bytes"])
-                    i = int(ckpt_payload["window_index"]) + 1
-                else:
-                    # Nothing committed yet: restart from window 0 with
-                    # the post-adoption placement (the adopter owns the
-                    # dead shard's LPs from setup — there is no state
-                    # to install).
-                    owned = [
-                        lp
-                        for lp in range(config["num_lps"])
-                        if int(msg[4][lp]) == shard_id
-                    ]
-                    engine = ShardEngine(
-                        config["assignment"],
-                        config["num_lps"],
-                        config["lookahead"],
-                        owned,
-                        strict=config["strict"],
-                        queue=config["queue"],
-                        shard_id=shard_id,
-                        num_shards=procs,
-                    )
-                    scenario, fn_to_name, name_to_fn = _build_shard(
-                        engine, config["spec"]
-                    )
-                    mail_bytes = 0
-                    i = 0
-                for mig_lp in sorted(msg[3]):
-                    _install_lp_migration(
-                        engine, scenario, name_to_fn, msg[3][mig_lp]
-                    )
-                shard_of = [int(v) for v in msg[4]]
-                continue
-            if msg[0] != "mail" or msg[1] != w:
-                raise ParallelBackendError(
-                    f"barrier protocol desync: expected mail for window {w}, "
-                    f"got {msg[:2]!r}"
-                )
-            if obs_on:
-                clock.restart()
-            _deliver_encoded_mail(engine, msg[2], end, name_to_fn)
-            decode_s = clock.elapsed() if obs_on else 0.0
-            plan = msg[3] if rb_on and len(msg) > 3 else None
-            if plan:
-                outgoing: dict[int, bytes] = {}
-                for mig_lp, mig_src, mig_dst in plan:
-                    mig_lp = int(mig_lp)
-                    if int(mig_src) == shard_id:
-                        outgoing[mig_lp] = _encode_lp_migration(
-                            engine, scenario, fn_to_name, mig_lp
-                        )
-                    shard_of[mig_lp] = int(mig_dst)
-                conn.send(("migrate", w, outgoing))
-                inst = conn.recv()
-                if inst[0] != "install" or inst[1] != w:
-                    raise ParallelBackendError(
-                        f"barrier protocol desync: expected install for "
-                        f"window {w}, got {inst[:2]!r}"
-                    )
-                for mig_lp in sorted(inst[2]):
-                    _install_lp_migration(
-                        engine, scenario, name_to_fn, inst[2][mig_lp]
-                    )
-            if rec_on and ckpt_every and (w + 1) % ckpt_every == 0:
-                blob = _encode_worker_checkpoint(
-                    engine, scenario, fn_to_name, w, mail_bytes
-                )
-                conn.send(("ckpt", w, checkpoint_digest(blob), blob))
-            if obs_on:
-                engine.observe_window_walls(
-                    w,
-                    executed,
-                    execute_s,
-                    wait_s,
-                    encode_s,
-                    decode_s,
-                    window_mail,
-                )
-            i += 1
-        result = _shard_result(engine, scenario)
-        result["barrier_wait_s"] = barrier_wait_s
-        result["mail_bytes"] = mail_bytes
-        if obs_on:
-            result["obs_bytes"] = obs_bytes
-            result["obs"] = {
-                "registry": RegistrySnapshot.capture(
-                    shard_id=shard_id, label=label
-                ),
-                "trace": TraceSnapshot.capture(shard_id=shard_id, label=label),
-            }
-        conn.send(("done", ser.encode_payload(result)))
+        worker = ShardWorker(ser.decode_payload(config_bytes), conn.send)
+        worker.start()
+        while not worker.finished:
+            worker.handle(conn.recv())
         conn.close()
+    except _PlannedFault as fault:
+        _fire_process_fault(conn, fault.kind)
     except BaseException:  # noqa: BLE001 - report, then die
         try:
             conn.send(("error", traceback.format_exc()))
@@ -1472,17 +1463,210 @@ def _worker_main(conn, config_bytes: bytes) -> None:
             pass
 
 
+class _PipeTransport:
+    """Workers in OS processes, one duplex ``mp.Pipe`` each."""
+
+    def __init__(self, start_method: str, window_timeout_s: float) -> None:
+        self._ctx = mp.get_context(start_method)
+        self.window_timeout_s = window_timeout_s
+        #: shard -> (controller-side pipe end, worker process)
+        self._workers: dict[int, tuple[Any, Any]] = {}
+
+    def spawn(self, shard_id: int, config_bytes: bytes) -> None:
+        """Start a worker process for ``shard_id``."""
+        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+        # A forked child holds copies of every controller-side end open
+        # at fork time, its own included; it closes them on entry.
+        inherited = (
+            (*(conn for conn, _ in self._workers.values()), parent_conn)
+            if self._ctx.get_start_method() == "fork"
+            else ()
+        )
+        proc = self._ctx.Process(
+            target=_worker_main,
+            args=(child_conn, config_bytes, inherited),
+            name=f"repro-shard-{shard_id}",
+            daemon=True,
+        )
+        proc.start()
+        child_conn.close()
+        self._workers[shard_id] = (parent_conn, proc)
+
+    def _lost(self, shard_id: int, what: str, hung: bool = False) -> WorkerCrashError:
+        proc = self._workers[shard_id][1]
+        if proc.exitcode is None and not hung:
+            # An EOF can surface before the dead child is reaped, in which
+            # case exitcode still reads None; give the reap a moment.
+            proc.join(0.5)
+        return _worker_lost(shard_id, what, proc.exitcode, hung=hung)
+
+    def send(self, shard_id: int, msg: tuple) -> None:
+        """Send one message; a vanished worker is a `WorkerCrashError`."""
+        try:
+            self._workers[shard_id][0].send(msg)
+        except (BrokenPipeError, OSError):
+            raise self._lost(shard_id, "dropped its pipe") from None
+
+    def recv(self, shard_id: int) -> tuple:
+        """Receive one message; crashes and hangs become typed errors.
+
+        The raised :class:`WorkerCrashError` carries ``shard_id``,
+        ``exitcode`` and ``hung`` attributes so the recovery layer can
+        tell a dead process (detected on the next 50 ms liveness tick,
+        long before the window timeout) from one that is alive but
+        silent past ``window_timeout_s``.
+        """
+        conn, proc = self._workers[shard_id]
+        waited = Stopwatch()
+        while True:
+            try:
+                ready = conn.poll(0.05)
+            except (OSError, EOFError):
+                # A worker killed with unread mail in its receive buffer
+                # resets the socket pair (Linux AF_UNIX semantics).
+                raise self._lost(shard_id, "reset its pipe mid-protocol") from None
+            if ready:
+                try:
+                    msg = conn.recv()
+                except (EOFError, OSError):
+                    raise self._lost(
+                        shard_id, "closed its pipe mid-protocol"
+                    ) from None
+                if msg[0] == "error":
+                    raise ParallelWorkerError(shard_id, msg[1])
+                return msg
+            if not proc.is_alive() and not conn.poll(0.0):
+                raise self._lost(shard_id, "died at a barrier without reporting")
+            if waited.elapsed() > self.window_timeout_s:
+                raise self._lost(
+                    shard_id,
+                    f"unresponsive for more than "
+                    f"{self.window_timeout_s:.0f}s at a barrier",
+                    hung=proc.is_alive(),
+                )
+
+    def discard(self, shard_id: int, grace_s: float = 0.2) -> None:
+        """Close a worker's pipe and escalate join→terminate→kill.
+
+        Closing the pipe is an EOF for the worker, which then exits on
+        its own; only a hung worker outlasts ``grace_s``.
+        """
+        conn, proc = self._workers.pop(shard_id)
+        conn.close()
+        proc.join(timeout=grace_s)
+        if proc.is_alive():
+            proc.terminate()
+            proc.join(timeout=grace_s)
+        if proc.is_alive():  # pragma: no cover - terminate-resistant worker
+            proc.kill()
+            proc.join(timeout=grace_s)
+
+    def close(self, grace_s: float) -> None:
+        """Tear down every remaining worker."""
+        for shard_id in sorted(self._workers):
+            self.discard(shard_id, grace_s)
+
+
+def _synthetic_loss(shard_id: int, kind) -> WorkerCrashError:
+    """The `WorkerCrashError` a real worker dying of ``kind`` would cause."""
+    from ..faults.plan import ProcessFaultKind  # deferred: faults -> engine
+
+    if kind is ProcessFaultKind.HANG:
+        return _worker_lost(
+            shard_id, "stopped responding at a barrier", None, hung=True
+        )
+    if kind is ProcessFaultKind.SIGKILL:
+        return _worker_lost(
+            shard_id, "died at a barrier without reporting", -signal.SIGKILL
+        )
+    return _worker_lost(shard_id, "closed its pipe mid-protocol", 1)
+
+
+class _InProcessTransport:
+    """Workers as :class:`ShardWorker` objects in the controller's process.
+
+    A send is a direct :meth:`ShardWorker.handle` call; replies queue
+    per shard until the controller receives them. Workers share this
+    process's registry and tracer, so their configs carry no obs stanza
+    (the engines record into the shared instruments directly). A planned
+    process fault ends the worker where the real process would end, and
+    the controller sees the `WorkerCrashError` a dead process produces:
+    exit code ``-SIGKILL``, 1 for a pipe drop, or ``hung`` for a hang
+    (which needs no timeout to detect here).
+    """
+
+    def __init__(self) -> None:
+        self._workers: dict[int, ShardWorker | None] = {}
+        self._outbox: dict[int, deque] = {}
+        self._lost: dict[int, WorkerCrashError] = {}
+
+    def spawn(self, shard_id: int, config_bytes: bytes) -> None:
+        """Build a worker for ``shard_id`` and run it to its first reply."""
+        from .. import serialization as ser  # deferred: serialization -> core -> engine
+
+        config = ser.decode_payload(config_bytes)
+        config["obs"] = None
+        self._outbox[shard_id] = outbox = deque()
+        worker = self._workers[shard_id] = ShardWorker(config, outbox.append)
+        self._step(shard_id, worker.start)
+
+    def _step(self, shard_id: int, step: Callable[..., None], *args) -> None:
+        try:
+            step(*args)
+        except _PlannedFault as fault:
+            self._workers[shard_id] = None
+            self._lost[shard_id] = _synthetic_loss(shard_id, fault.kind)
+        except Exception:  # noqa: BLE001 - reported like a worker process
+            self._workers[shard_id] = None
+            self._outbox[shard_id].append(("error", traceback.format_exc()))
+
+    def send(self, shard_id: int, msg: tuple) -> None:
+        """Hand ``msg`` to the worker and run it until it next waits."""
+        if shard_id in self._lost:
+            raise self._lost[shard_id]
+        worker = self._workers.get(shard_id)
+        if worker is not None:  # None: failed; its error report is queued
+            self._step(shard_id, worker.handle, msg)
+
+    def recv(self, shard_id: int) -> tuple:
+        """The worker's oldest unread reply, or the error that ended it."""
+        outbox = self._outbox[shard_id]
+        if outbox:
+            msg = outbox.popleft()
+            if msg[0] == "error":
+                raise ParallelWorkerError(shard_id, msg[1])
+            return msg
+        if shard_id in self._lost:
+            raise self._lost[shard_id]
+        raise ParallelBackendError(
+            f"barrier protocol desync: worker {shard_id} is waiting for a "
+            "message while the controller waits for one from it"
+        )
+
+    def discard(self, shard_id: int) -> None:
+        """Forget a lost worker before its replacement spawns."""
+        self._workers.pop(shard_id, None)
+        self._outbox.pop(shard_id, None)
+        self._lost.pop(shard_id, None)
+
+    def close(self, grace_s: float) -> None:
+        """Forget every worker (there are no processes to stop)."""
+        for shard_id in sorted(self._outbox):
+            self.discard(shard_id)
+
+
 # ----------------------------------------------------------------------
 # Results
 # ----------------------------------------------------------------------
 @dataclass
 class ParallelRunResult:
-    """Merged outcome of one multi-process (or local-group) run."""
+    """Merged outcome of one sharded run."""
 
     procs: int
     until: float
     lookahead: float
-    #: contiguous LP split actually used, one list per shard
+    #: final LP placement, one list per shard (the configured split
+    #: unless migrations or an adoption moved LPs)
     shards: list[list[int]]
     #: per-window stats summed across shards (same shape the
     #: single-process engine records — cost-model ready)
@@ -1549,6 +1733,15 @@ def _merge_window_rows(
 # ----------------------------------------------------------------------
 # Controller
 # ----------------------------------------------------------------------
+def _placement(shards: Sequence[Sequence[int]], num_lps: int) -> np.ndarray:
+    """LP -> shard lookup for a shard list that partitions the LPs."""
+    shard_of = np.empty(num_lps, dtype=np.int64)
+    for shard_id, lps in enumerate(shards):
+        for lp in lps:
+            shard_of[lp] = shard_id
+    return shard_of
+
+
 class ParallelConservativeEngine:
     """Conservative barrier-window engine over real worker processes.
 
@@ -1625,10 +1818,6 @@ class ParallelConservativeEngine:
         self.start_method = start_method
         self.window_timeout_s = float(window_timeout_s)
         self.shards = shard_lps(self.num_lps, self.procs)
-        self._shard_of = np.empty(self.num_lps, dtype=np.int64)
-        for shard_id, lps in enumerate(self.shards):
-            for lp in lps:
-                self._shard_of[lp] = shard_id
 
         self.incremental_obs = bool(incremental_obs)
         self.rebalance = rebalance
@@ -1649,10 +1838,23 @@ class ParallelConservativeEngine:
         self._obs_window_hist = reg.histogram(
             obs_names.ENGINE_WINDOW_EVENTS_HIST, (1.0, 10.0, 100.0, 1e3, 1e4, 1e5)
         )
+        # The optional subsystems' instruments are registered up front,
+        # so they exist in snapshots taken before the first migration or
+        # checkpoint (and the names-drift check sees them by constructing
+        # an engine, like every other instrumented component).
         if rebalance is not None:
-            _register_rebalance_instruments(reg)
+            reg.counter(obs_names.REBALANCE_TRIGGERS)
+            reg.counter(obs_names.REBALANCE_CANDIDATES)
+            reg.counter(obs_names.REBALANCE_MIGRATIONS)
+            reg.counter(obs_names.REBALANCE_STATE_BYTES)
+            reg.histogram(obs_names.REBALANCE_CONCENTRATION, _CONCENTRATION_BOUNDS)
         if recovery is not None:
-            _register_recovery_instruments(reg)
+            reg.counter(obs_names.RECOVERY_CHECKPOINTS)
+            reg.counter(obs_names.RECOVERY_CHECKPOINT_BYTES)
+            reg.counter(obs_names.RECOVERY_DETECTIONS)
+            reg.counter(obs_names.RECOVERY_RESPAWNS)
+            reg.counter(obs_names.RECOVERY_REPLAYED)
+            reg.counter(obs_names.RECOVERY_ADOPTIONS)
 
     @classmethod
     def from_mapping(
@@ -1676,56 +1878,18 @@ class ParallelConservativeEngine:
             mapping.assignment, mapping.num_engines, lookahead, **kwargs
         )
 
-    # -- controller-side wire helpers ---------------------------------
-    def _recv(self, conns, procs, shard_id):
-        """Receive one message; crashes and hangs become typed errors.
-
-        The raised :class:`WorkerCrashError` carries ``shard_id``,
-        ``exitcode`` and ``hung`` attributes so the recovery layer can
-        tell a dead process (detected on the next 50 ms liveness tick,
-        long before the window timeout) from one that is alive but
-        silent past ``window_timeout_s``.
-        """
-        conn = conns[shard_id]
-        proc = procs[shard_id]
-        waited = Stopwatch()
-        while True:
-            try:
-                ready = conn.poll(0.05)
-            except (OSError, EOFError):
-                # A worker killed with unread mail in its receive buffer
-                # resets the socket pair (Linux AF_UNIX semantics).
-                raise _crash_error(
-                    shard_id, proc, "reset its pipe mid-protocol"
-                ) from None
-            if ready:
-                try:
-                    msg = conn.recv()
-                except (EOFError, OSError):
-                    raise _crash_error(
-                        shard_id, proc, "closed its pipe mid-protocol"
-                    ) from None
-                if msg[0] == "error":
-                    raise ParallelWorkerError(shard_id, msg[1])
-                return msg
-            if not proc.is_alive() and not conn.poll(0.0):
-                raise _crash_error(
-                    shard_id, proc, "died at a barrier without reporting"
-                )
-            if waited.elapsed() > self.window_timeout_s:
-                raise _crash_error(
-                    shard_id,
-                    proc,
-                    f"unresponsive for more than "
-                    f"{self.window_timeout_s:.0f}s at a barrier",
-                    hung=proc.is_alive(),
-                )
+    def _open_transport(self):
+        """The transport the workers run over: one OS process each."""
+        return _PipeTransport(self.start_method, self.window_timeout_s)
 
     def _worker_config(
         self,
         shard_id: int,
         spec: ScenarioSpec,
         until: float,
+        *,
+        owned_lps: Sequence[int],
+        shard_of: Sequence[int],
         incarnation: int = 0,
         resume: dict | None = None,
     ) -> bytes:
@@ -1735,11 +1899,11 @@ class ParallelConservativeEngine:
             "assignment": self.assignment,
             "num_lps": self.num_lps,
             "lookahead": self.lookahead,
-            "owned_lps": self.shards[shard_id],
+            "owned_lps": list(owned_lps),
             "strict": self.strict,
             "queue": self.queue,
             "spec": spec,
-            "shard_of": self._shard_of.tolist(),
+            "shard_of": list(shard_of),
             "procs": self.procs,
             "until": float(until),
             "shard_id": shard_id,
@@ -1782,10 +1946,8 @@ class ParallelConservativeEngine:
         rec = self.recovery
         rec_on = rec is not None
         mode = rec.on_worker_loss if rec_on else "fail"
-        ctx = mp.get_context(self.start_method)
-        conns: list = []
-        workers: list = []
         wall = Stopwatch()
+        transport = self._open_transport()
         store = CheckpointStore(rec.spill_dir) if rec_on else None
         # Mail retained since the last committed checkpoint: window ->
         # {dest shard -> per-sender payload list}. Replayed into a
@@ -1793,38 +1955,61 @@ class ParallelConservativeEngine:
         # bounded by the checkpoint cadence.
         retained: dict[int, dict[int, list[bytes]]] = {}
         committed = -1
+        # Losses so far per shard; also the incarnation of its worker.
         attempts = [0] * self.procs
-        incarnations = [0] * self.procs
         dead = [False] * self.procs
-        wins_consumed = [0] * self.procs
-        mails_sent = [0] * self.procs
+        # Whether the controller holds the shard's latest window message
+        # unanswered, i.e. the worker is blocked waiting for its mail.
+        unanswered = [False] * self.procs
         stats = {"detections": 0, "respawns": 0, "windows_replayed": 0,
                  "adoptions": 0}
         adoption_window: int | None = None
-        dead_blob: bytes | None = None
+        # Each adopted shard's blob at the cut it was adopted from: its
+        # stand-in result (the adopter re-accumulates after that cut).
+        dead_blobs: dict[int, bytes | None] = {}
+        # Run-local placement: migrations and adoptions move LPs here,
+        # never in the engine's configured shards, so a rerun starts
+        # from the static split.
         cur_shards = [list(s) for s in self.shards]
         max_obs_window = -1
+        boundaries = list(iter_windows(0.0, self.lookahead, until))
+        last_w = boundaries[-1][0] if boundaries else -1
+        rows: dict[int, list[tuple[list[int], list[int]]]] = {
+            w: [] for w, _s, _e in boundaries
+        }
+        migrations: list = []
+        rebalancer = None
+        rb_prev = (0, 0)
+        if self.rebalance is not None:
+            # deferred: partition -> engine
+            from ..partition.rebalance import Rebalancer, slowdown_spans
+
+            # Fault slowdown spans come from the spec's ``faults`` param
+            # (the schedule the injector replays), so the modeled blame
+            # source sees straggler slowdowns without measuring anything.
+            faults = spec.params.get("faults")
+            rebalancer = Rebalancer(
+                self.rebalance,
+                self.shards,
+                self.num_lps,
+                spans=slowdown_spans(faults, float(until)) if faults else (),
+                affinity=self.rebalance_affinity,
+            )
+        rb_measured = rebalancer is not None and self.rebalance.source == "measured"
 
         def _live():
             return [s for s in range(self.procs) if not dead[s]]
 
         def _spawn(shard_id, incarnation=0, resume=None):
-            parent_conn, child_conn = ctx.Pipe(duplex=True)
-            proc = ctx.Process(
-                target=_worker_main,
-                args=(
-                    child_conn,
-                    self._worker_config(
-                        shard_id, spec, until,
-                        incarnation=incarnation, resume=resume,
-                    ),
+            transport.spawn(
+                shard_id,
+                self._worker_config(
+                    shard_id, spec, until,
+                    owned_lps=cur_shards[shard_id],
+                    shard_of=_placement(cur_shards, self.num_lps).tolist(),
+                    incarnation=incarnation, resume=resume,
                 ),
-                name=f"repro-shard-{shard_id}",
-                daemon=True,
             )
-            proc.start()
-            child_conn.close()
-            return parent_conn, proc
 
         def _handle_loss(shard_id, exc, replay_hi):
             """Respawn ``shard_id`` or escalate up the degradation ladder.
@@ -1832,7 +2017,7 @@ class ParallelConservativeEngine:
             ``replay_hi`` is the last window whose retained mail the
             respawned worker must privately replay before rejoining.
             """
-            if not rec_on or mode == "fail":
+            if mode == "fail":
                 raise exc
             stats["detections"] += 1
             _record_recovery_obs(
@@ -1840,9 +2025,8 @@ class ParallelConservativeEngine:
                 hung=bool(getattr(exc, "hung", False)),
                 exitcode=getattr(exc, "exitcode", None),
             )
-            _teardown_worker(conns[shard_id], workers[shard_id], grace_s=0.2)
-            wins_consumed[shard_id] = 0
-            mails_sent[shard_id] = 0
+            transport.discard(shard_id)
+            unanswered[shard_id] = False
             attempts[shard_id] += 1
             if attempts[shard_id] > rec.max_respawns:
                 if mode == "adopt":
@@ -1859,8 +2043,6 @@ class ParallelConservativeEngine:
                     "pre-adoption checkpoint is stale"
                 ) from exc
             time.sleep(rec.backoff_s(attempts[shard_id]))
-            incarnations[shard_id] += 1
-            ckpt_blob = store.get(shard_id)
             base = store.latest_window(shard_id)
             entries = [
                 (rw, retained[rw][shard_id])
@@ -1868,12 +2050,10 @@ class ParallelConservativeEngine:
                 if base < rw <= replay_hi
             ]
             resume = {
-                "checkpoint": ckpt_blob,
+                "checkpoint": store.get(shard_id),
                 "replay": ser.encode_replay_buffer(entries),
             }
-            conns[shard_id], workers[shard_id] = _spawn(
-                shard_id, incarnation=incarnations[shard_id], resume=resume
-            )
+            _spawn(shard_id, incarnation=attempts[shard_id], resume=resume)
             stats["respawns"] += 1
             stats["windows_replayed"] += len(entries)
             _record_recovery_obs(
@@ -1881,15 +2061,30 @@ class ParallelConservativeEngine:
                 attempt=attempts[shard_id], replayed=len(entries),
             )
 
+        def _past_the_end(shard_id):
+            return RecoveryExhaustedError(
+                f"worker {shard_id} exhausted its respawns after survivors "
+                "finished the run; adoption would need a rollback past "
+                "the end of the run"
+            )
+
         def _adopt(dead_shard):
             """Global rollback to the commit cut + survivor adoption."""
-            nonlocal adoption_window, dead_blob
+            nonlocal adoption_window
             if 0 in cur_shards[dead_shard]:
                 raise RecoveryExhaustedError(
                     f"worker {dead_shard} owns LP 0 (the control lane); the "
                     "control shard cannot be adopted by a survivor"
                 )
             c = committed
+            if adoption_window is not None and 0 <= c <= adoption_window:
+                # Rolling back to c would reload the earlier adopter's
+                # pre-adoption blob and lose the LPs it adopted.
+                raise RecoveryExhaustedError(
+                    f"worker {dead_shard} lost after a degraded adoption and "
+                    "before the next checkpoint commit; the adopter's "
+                    "checkpoint predates the adoption"
+                )
             blob = store.get(dead_shard) if c >= 0 else None
             if c >= 0 and blob is None:  # pragma: no cover - store invariant
                 raise RecoveryExhaustedError(
@@ -1898,51 +2093,48 @@ class ParallelConservativeEngine:
                 )
             dead[dead_shard] = True
             survivors = _live()
-            if not survivors:  # pragma: no cover - shard 0 never adopted
-                raise RecoveryExhaustedError("no survivors left to adopt")
-            # Every survivor is either computing or blocked at a mail
-            # recv; consume its in-flight messages until it owes us
-            # exactly one unanswered window message, at which point a
-            # rollback lands where it expects mail.
-            for s in survivors:
-                while wins_consumed[s] <= mails_sent[s]:
-                    m = self._recv(conns, workers, s)
-                    if m[0] == "window":
-                        wins_consumed[s] += 1
-                    elif m[0] == "ckpt":
-                        pass  # abandoned: this round can no longer commit
-                    else:
-                        raise ParallelBackendError(
-                            f"barrier protocol desync: worker {s} sent "
-                            f"{m[0]!r} while draining for rollback"
-                        )
             adopter = min(survivors, key=lambda s: (len(cur_shards[s]), s))
             cur_shards[adopter] = sorted(
                 cur_shards[adopter] + cur_shards[dead_shard]
             )
             cur_shards[dead_shard] = []
-            new_shard_of = [0] * self.num_lps
-            for s, lps in enumerate(cur_shards):
-                for lp in lps:
-                    new_shard_of[lp] = s
+            new_shard_of = _placement(cur_shards, self.num_lps).tolist()
             installs = _adoption_installs(blob) if blob is not None else {}
-            for s in survivors:
-                conns[s].send(
-                    (
-                        "rollback",
-                        c,
-                        store.get(s) if c >= 0 else None,
-                        installs if s == adopter else {},
-                        new_shard_of,
+            try:
+                # Every survivor is either computing or blocked at a mail
+                # recv; consume its in-flight messages until its window
+                # message is the unanswered one, at which point a
+                # rollback lands where it expects mail.
+                for s in survivors:
+                    while not unanswered[s]:
+                        m = transport.recv(s)
+                        if m[0] == "done":
+                            raise _past_the_end(dead_shard)
+                        if m[0] != "ckpt":  # abandoned: this round cannot commit
+                            _check_message(m, f"worker {s}", "window")
+                            unanswered[s] = True
+                for s in survivors:
+                    transport.send(
+                        s,
+                        (
+                            "rollback",
+                            c,
+                            store.get(s) if c >= 0 else None,
+                            installs if s == adopter else {},
+                            new_shard_of,
+                        ),
                     )
-                )
-                wins_consumed[s] = 0
-                mails_sent[s] = 0
+                    unanswered[s] = False
+            except WorkerCrashError as exc:
+                raise RecoveryExhaustedError(
+                    f"worker {exc.shard_id} lost during the adoption of "
+                    f"shard {dead_shard}; the degradation ladder does not nest"
+                ) from exc
             for bw in rows:
                 if bw > c:
                     rows[bw] = []
             retained.clear()
-            dead_blob = blob
+            dead_blobs[dead_shard] = blob
             adoption_window = c
             stats["adoptions"] += 1
             _record_recovery_obs(
@@ -1951,31 +2143,10 @@ class ParallelConservativeEngine:
             )
             return c
 
+        finished = False
         try:
             for shard_id in range(self.procs):
-                parent_conn, proc = _spawn(shard_id)
-                conns.append(parent_conn)
-                workers.append(proc)
-
-            boundaries = list(iter_windows(0.0, self.lookahead, until))
-            last_w = boundaries[-1][0] if boundaries else -1
-            rows: dict[int, list[tuple[list[int], list[int]]]] = {
-                w: [] for w, _s, _e in boundaries
-            }
-            rebalancer = None
-            rb_measured = False
-            rb_prev = (0, 0)
-            migrations: list = []
-            if self.rebalance is not None:
-                rebalancer = _build_rebalancer(
-                    self.rebalance,
-                    self.shards,
-                    self.num_lps,
-                    spec,
-                    until,
-                    affinity=self.rebalance_affinity,
-                )
-                rb_measured = self.rebalance.source == "measured"
+                _spawn(shard_id)
             wi = 0
             while wi < len(boundaries):
                 w, _start, _end = boundaries[wi]
@@ -1985,17 +2156,13 @@ class ParallelConservativeEngine:
                     while pending:
                         shard_id = pending.pop(0)
                         try:
-                            msg = self._recv(conns, workers, shard_id)
+                            msg = transport.recv(shard_id)
                         except WorkerCrashError as exc:
                             _handle_loss(shard_id, exc, replay_hi=w - 1)
                             pending.append(shard_id)
                             continue
-                        if msg[0] != "window" or msg[1] != w:
-                            raise ParallelBackendError(
-                                f"barrier protocol desync: worker {shard_id} "
-                                f"sent {msg[:2]!r}, expected window {w}"
-                            )
-                        wins_consumed[shard_id] += 1
+                        _check_message(msg, f"worker {shard_id}", "window", w)
+                        unanswered[shard_id] = True
                         msgs[shard_id] = msg
                         rows[w].append((msg[3], msg[4]))
                     plan = None
@@ -2036,27 +2203,21 @@ class ParallelConservativeEngine:
                     if rec_on:
                         retained[w] = inbound_by
                     skip_ckpt: set[int] = set()
+                    # The plan slot exists only on rebalancing runs, so a
+                    # static run's wire stays the pre-rebalancing protocol.
+                    tail = () if rebalancer is None else (plan,)
                     for shard_id in live_now:
                         try:
-                            if rebalancer is not None:
-                                conns[shard_id].send(
-                                    ("mail", w, inbound_by[shard_id], plan)
-                                )
-                            else:
-                                conns[shard_id].send(
-                                    ("mail", w, inbound_by[shard_id])
-                                )
-                            mails_sent[shard_id] += 1
-                        except (BrokenPipeError, OSError):
+                            transport.send(
+                                shard_id, ("mail", w, inbound_by[shard_id], *tail)
+                            )
+                            unanswered[shard_id] = False
+                        except WorkerCrashError as exc:
                             if plan:
                                 raise ParallelBackendError(
                                     f"worker {shard_id} lost while a "
                                     "migration plan is in flight"
-                                )
-                            exc = _crash_error(
-                                shard_id, workers[shard_id],
-                                "dropped its pipe at mail delivery",
-                            )
+                                ) from exc
                             # The worker had already sent window w, so
                             # the respawn replays through w and rejoins
                             # at w + 1 without checkpointing w.
@@ -2066,29 +2227,27 @@ class ParallelConservativeEngine:
                         # Migration sub-protocol: collect payloads from
                         # the releasing shards, route each to the
                         # adopting shard. Payloads ride these
-                        # control-plane pipes only.
+                        # control-plane messages only.
                         outgoing_all: dict[int, bytes] = {}
                         for shard_id in range(self.procs):
-                            mig = self._recv(conns, workers, shard_id)
-                            if mig[0] != "migrate" or mig[1] != w:
-                                raise ParallelBackendError(
-                                    f"barrier protocol desync: worker "
-                                    f"{shard_id} sent {mig[:2]!r}, expected "
-                                    f"migrate {w}"
-                                )
+                            mig = _check_message(
+                                transport.recv(shard_id),
+                                f"worker {shard_id}", "migrate", w,
+                            )
                             outgoing_all.update(mig[2])
                         for shard_id in range(self.procs):
-                            install = {
-                                lp: blob
-                                for lp, blob in outgoing_all.items()
-                                if int(rebalancer.shard_of[lp]) == shard_id
-                            }
-                            conns[shard_id].send(("install", w, install))
-                        state_bytes = sum(
-                            len(b) for b in outgoing_all.values()
-                        )
+                            install = (
+                                outgoing_all
+                                if shard_id == decision.dst_shard
+                                else {}
+                            )
+                            transport.send(shard_id, ("install", w, install))
+                        cur_shards[decision.src_shard].remove(decision.lp)
+                        bisect.insort(cur_shards[decision.dst_shard], decision.lp)
                         migrations.append(decision)
-                        _record_migration_obs(decision, state_bytes)
+                        _record_migration_obs(
+                            decision, sum(len(b) for b in outgoing_all.values())
+                        )
                     if rec_on and rec.is_checkpoint_window(w):
                         # Transactional commit: the store only advances
                         # when every live shard checkpoints this window;
@@ -2099,16 +2258,11 @@ class ParallelConservativeEngine:
                             s for s in _live() if s not in skip_ckpt
                         ]:
                             try:
-                                cmsg = self._recv(conns, workers, shard_id)
+                                cmsg = transport.recv(shard_id)
                             except WorkerCrashError as exc:
                                 _handle_loss(shard_id, exc, replay_hi=w)
                                 continue
-                            if cmsg[0] != "ckpt" or cmsg[1] != w:
-                                raise ParallelBackendError(
-                                    f"barrier protocol desync: worker "
-                                    f"{shard_id} sent {cmsg[:2]!r}, expected "
-                                    f"ckpt {w}"
-                                )
+                            _check_message(cmsg, f"worker {shard_id}", "ckpt", w)
                             got[shard_id] = (cmsg[2], cmsg[3])
                         if sorted(got) == _live():
                             for shard_id in sorted(got):
@@ -2142,68 +2296,38 @@ class ParallelConservativeEngine:
                     wi = _adopt(need.shard_id) + 1
                     continue
                 wi += 1
-            results_by: dict[int, dict] = {}
-            for shard_id in _live():
+            results: list[dict] = []
+            for shard_id in range(self.procs):
+                if dead[shard_id]:
+                    results.append(_synthesize_dead_result(dead_blobs[shard_id]))
+                    continue
                 while True:
                     try:
-                        msg = self._recv(conns, workers, shard_id)
+                        msg = transport.recv(shard_id)
+                        break
                     except WorkerCrashError as exc:
                         try:
                             _handle_loss(shard_id, exc, replay_hi=last_w)
                         except _AdoptionNeeded:
-                            raise RecoveryExhaustedError(
-                                f"worker {shard_id} exhausted its respawns "
-                                "at the final barrier; survivors have "
-                                "already collected — adoption would need a "
-                                "rollback past the end of the run"
-                            ) from exc
-                        continue
-                    break
-                if msg[0] != "done":
-                    raise ParallelBackendError(
-                        f"barrier protocol desync: worker {shard_id} sent "
-                        f"{msg[0]!r}, expected done"
-                    )
-                results_by[shard_id] = ser.decode_payload(msg[1])
-            results = [
-                results_by[s] if not dead[s] else _synthesize_dead_result(
-                    dead_blob
-                )
-                for s in range(self.procs)
-            ]
+                            raise _past_the_end(shard_id) from exc
+                _check_message(msg, f"worker {shard_id}", "done")
+                results.append(ser.decode_payload(msg[1]))
+            finished = True
         finally:
-            for conn, proc in zip(conns, workers):
-                _teardown_worker(conn, proc)
+            # A failed run's workers see EOF and exit at once; only a
+            # hung one waits out the short grace before terminate().
+            transport.close(grace_s=5.0 if finished else 0.5)
             if store is not None:
                 store.close()
 
         wall_s = wall.elapsed()
-        window_stats = _merge_window_rows(self.num_lps, rows, boundaries)
         worker_events = [r["events_executed"] for r in results]
-        barrier_wait = [r["barrier_wait_s"] for r in results]
-        mail_bytes = [r["mail_bytes"] for r in results]
-        registry_snapshots = [
-            r["obs"]["registry"] for r in results if "obs" in r
-        ]
-        trace_snapshots = [r["obs"]["trace"] for r in results if "obs" in r]
-        obs_bytes = [int(r.get("obs_bytes", 0)) for r in results]
-        if rebalancer is not None and migrations:
-            final_shards: list[list[int]] = [[] for _ in range(self.procs)]
-            for lp in range(self.num_lps):
-                final_shards[int(rebalancer.shard_of[lp])].append(lp)
-        elif rec_on and stats["adoptions"]:
-            final_shards = [list(s) for s in cur_shards]
-        else:
-            final_shards = [list(s) for s in self.shards]
         recovery_summary = None
         if rec_on:
             recovery_summary = {
                 "checkpoints_taken": int(store.checkpoints_taken),
                 "checkpoint_bytes": int(store.checkpoint_bytes),
-                "detections": stats["detections"],
-                "respawns": stats["respawns"],
-                "windows_replayed": stats["windows_replayed"],
-                "adoptions": stats["adoptions"],
+                **stats,
                 "committed_window": committed,
                 "dead_shards": [s for s in range(self.procs) if dead[s]],
             }
@@ -2211,20 +2335,22 @@ class ParallelConservativeEngine:
             procs=self.procs,
             until=float(until),
             lookahead=self.lookahead,
-            shards=final_shards,
-            window_stats=window_stats,
+            shards=cur_shards,
+            window_stats=_merge_window_rows(self.num_lps, rows, boundaries),
             events_executed=int(sum(worker_events)),
             lookahead_violations=int(
                 sum(r["lookahead_violations"] for r in results)
             ),
             wall_s=wall_s,
-            barrier_wait_s=barrier_wait,
-            mail_bytes=mail_bytes,
+            barrier_wait_s=[r["barrier_wait_s"] for r in results],
+            mail_bytes=[r["mail_bytes"] for r in results],
             worker_events=worker_events,
             collected=[r["collect"] for r in results],
-            registry_snapshots=registry_snapshots,
-            trace_snapshots=trace_snapshots,
-            obs_bytes=obs_bytes,
+            registry_snapshots=[
+                r["obs"]["registry"] for r in results if "obs" in r
+            ],
+            trace_snapshots=[r["obs"]["trace"] for r in results if "obs" in r],
+            obs_bytes=[int(r.get("obs_bytes", 0)) for r in results],
             migrations=migrations,
             recovery=recovery_summary,
         )
@@ -2235,30 +2361,24 @@ class ParallelConservativeEngine:
         Only meaningful with ``incremental_obs``; before the first
         barrier (or without the flag) this is an empty snapshot.
         """
-        deltas = [self._live_deltas[s] for s in sorted(self._live_deltas)]
-        return RegistrySnapshot.merge(deltas) if deltas else RegistrySnapshot(
-            provenance=(),
-            counters={},
-            vectors={},
-            gauges={},
-            histograms={},
-            timers={},
-            series={},
+        return RegistrySnapshot.merge(
+            [self._live_deltas[s] for s in sorted(self._live_deltas)]
         )
 
 
 # ----------------------------------------------------------------------
-# In-process reference group (tests, hypothesis sweeps)
+# In-process shard group (tests, hypothesis sweeps)
 # ----------------------------------------------------------------------
-class LocalShardGroup:
-    """Drive K :class:`ShardEngine` shards in one process.
+class LocalShardGroup(ParallelConservativeEngine):
+    """The same controller and workers, all in this one process.
 
-    Executes the identical barrier/mail protocol — including the
-    round-trip through :mod:`repro.serialization` — without OS
-    processes. This is the reference executor the differential suite
-    sweeps with hypothesis (arbitrary shard counts and partitions are
-    cheap), while :class:`ParallelConservativeEngine` proves the same
-    bytes survive real process boundaries.
+    Runs :meth:`ParallelConservativeEngine.run_scenario` over the
+    in-process transport: identical barrier, mail, migration and
+    recovery protocol — including every round-trip through
+    :mod:`repro.serialization` — without OS processes. Arbitrary shard
+    counts and partitions (``shards``) are cheap, which is what the
+    differential suite's hypothesis sweeps need, while the pipe
+    transport proves the same bytes survive real process boundaries.
     """
 
     def __init__(
@@ -2274,408 +2394,23 @@ class LocalShardGroup:
         rebalance_affinity=None,
         recovery=None,
     ) -> None:
-        if rebalance is not None and recovery is not None:
-            raise ValueError(
-                "online rebalancing and fault-tolerant recovery cannot be "
-                "combined: a checkpoint cut racing a migration plan has no "
-                "well-defined placement"
-            )
-        self.assignment = np.asarray(assignment, dtype=np.int64)
-        self.num_lps = int(num_lps)
-        self.lookahead = float(lookahead)
-        self.strict = strict
-        self.queue = queue
-        self.rebalance = rebalance
-        self.rebalance_affinity = rebalance_affinity
-        self.recovery = recovery
-        self.shards = shards if shards is not None else shard_lps(num_lps, procs)
-        self.procs = len(self.shards)
-        seen = sorted(lp for part in self.shards for lp in part)
-        if seen != list(range(self.num_lps)):
-            raise ValueError("shards must partition range(num_lps) exactly")
-        self._shard_of = np.empty(self.num_lps, dtype=np.int64)
-        for shard_id, lps in enumerate(self.shards):
-            for lp in lps:
-                self._shard_of[lp] = shard_id
-        # The in-process group shares the one process-global registry
-        # across all shard engines, so per-shard instruments aggregate
-        # in place — no snapshot merging needed (or possible). Only the
-        # global per-window aggregates are recorded here, like the
-        # multi-process controller.
-        reg = get_registry()
-        self._obs = reg
-        self._obs_windows = reg.counter(obs_names.ENGINE_WINDOWS)
-        self._obs_window_hist = reg.histogram(
-            obs_names.ENGINE_WINDOW_EVENTS_HIST, (1.0, 10.0, 100.0, 1e3, 1e4, 1e5)
+        super().__init__(
+            assignment,
+            num_lps,
+            lookahead,
+            procs=len(shards) if shards is not None else procs,
+            strict=strict,
+            queue=queue,
+            rebalance=rebalance,
+            rebalance_affinity=rebalance_affinity,
+            recovery=recovery,
         )
-        if rebalance is not None:
-            _register_rebalance_instruments(reg)
-        if recovery is not None:
-            _register_recovery_instruments(reg)
+        if shards is not None:
+            seen = sorted(lp for part in shards for lp in part)
+            if seen != list(range(self.num_lps)):
+                raise ValueError("shards must partition range(num_lps) exactly")
+            self.shards = [list(part) for part in shards]
 
-    def run_scenario(self, spec: ScenarioSpec, until: float) -> ParallelRunResult:
-        """Run ``spec`` to ``until`` over the in-process shard group.
-
-        With a recovery config, the group mirrors the multi-process
-        supervision logic synchronously: every planned process fault —
-        whatever its kind — collapses to a synthetic worker death at the
-        start of its window (there is no real process to SIGKILL or
-        hang), after which the shard is rebuilt from its last committed
-        checkpoint and replayed from retained mail, with the same
-        respawn → adopt → :class:`RecoveryExhaustedError` ladder.
-        """
-        wall = Stopwatch()
-        rec = self.recovery
-        rec_on = rec is not None
-        store = CheckpointStore(rec.spill_dir) if rec_on else None
-        plan_faults = (
-            tuple(rec.fault_plan)
-            if rec_on and rec.fault_plan is not None
-            else ()
-        )
-        committed = -1
-        attempts = [0] * self.procs
-        incarnations = [0] * self.procs
-        dead = [False] * self.procs
-        fired: set = set()
-        stats = {"detections": 0, "respawns": 0, "windows_replayed": 0,
-                 "adoptions": 0}
-        adoption_window: int | None = None
-        dead_blob: bytes | None = None
-        cur_shards = [list(s) for s in self.shards]
-        max_obs_window = -1
-        retained: dict[int, list[list[bytes]]] = {}
-
-        engines = [
-            ShardEngine(
-                self.assignment,
-                self.num_lps,
-                self.lookahead,
-                owned,
-                strict=self.strict,
-                queue=self.queue,
-                shard_id=shard_id,
-                num_shards=self.procs,
-            )
-            for shard_id, owned in enumerate(self.shards)
-        ]
-        built = [_build_shard(engine, spec) for engine in engines]
-        boundaries = list(iter_windows(0.0, self.lookahead, until))
-        rows: dict[int, list[tuple[list[int], list[int]]]] = {}
-        mail_bytes = [0] * self.procs
-        # Run-local placement: migrations must not mutate the group's
-        # configured shards, so a rerun starts from the static split.
-        shard_of = self._shard_of.copy()
-        rebalancer = None
-        rb_prev = (0, 0)
-        migrations: list = []
-        if self.rebalance is not None:
-            # In-process shards have no independently measurable walls;
-            # "measured" falls back to the modeled source here.
-            rebalancer = _build_rebalancer(
-                self.rebalance,
-                self.shards,
-                self.num_lps,
-                spec,
-                until,
-                affinity=self.rebalance_affinity,
-            )
-
-        def fresh_shard(shard_id, owned):
-            engine = ShardEngine(
-                self.assignment,
-                self.num_lps,
-                self.lookahead,
-                owned,
-                strict=self.strict,
-                queue=self.queue,
-                shard_id=shard_id,
-                num_shards=self.procs,
-            )
-            scenario, f2n, n2f = _build_shard(engine, spec)
-            return engine, (scenario, f2n, n2f)
-
-        def replay_windows(s, lo, hi):
-            replayed = 0
-            for rw in sorted(retained):
-                if rw < lo or rw > hi:
-                    continue
-                _rw, _rs, rend = boundaries[rw]
-                engines[s].run_window(rw, rend)
-                payloads = _encode_outbound(
-                    engines[s], shard_of, built[s][1], self.procs
-                )
-                mail_bytes[s] += sum(len(p) for p in payloads)
-                inbound = [retained[rw][src][s] for src in range(self.procs)]
-                _deliver_encoded_mail(engines[s], inbound, rend, built[s][2])
-                replayed += 1
-            return replayed
-
-        def respawn_shard(s, upto_w):
-            blob = store.get(s)
-            if blob is not None:
-                engine, scenario, f2n, n2f, payload = _restore_shard_from_blob(
-                    blob, self.assignment, self.num_lps, self.lookahead,
-                    spec, self.strict, self.queue, self.procs,
-                )
-                engines[s] = engine
-                built[s] = (scenario, f2n, n2f)
-                base = int(payload["window_index"])
-                mail_bytes[s] = int(payload["acc"]["mail_bytes"])
-            else:
-                engines[s], built[s] = fresh_shard(s, cur_shards[s])
-                base = -1
-                mail_bytes[s] = 0
-            return replay_windows(s, base + 1, upto_w)
-
-        def adopt_shard(dead_shard):
-            nonlocal adoption_window, dead_blob
-            if 0 in cur_shards[dead_shard]:
-                raise RecoveryExhaustedError(
-                    f"shard {dead_shard} owns LP 0 (the control lane); the "
-                    "control shard cannot be adopted by a survivor"
-                )
-            c = committed
-            blob = store.get(dead_shard) if c >= 0 else None
-            dead[dead_shard] = True
-            survivors = [x for x in range(self.procs) if not dead[x]]
-            if not survivors:  # pragma: no cover - shard 0 never adopted
-                raise RecoveryExhaustedError("no survivors left to adopt")
-            adopter = min(survivors, key=lambda x: (len(cur_shards[x]), x))
-            installs = _adoption_installs(blob) if blob is not None else {}
-            cur_shards[adopter] = sorted(
-                cur_shards[adopter] + cur_shards[dead_shard]
-            )
-            cur_shards[dead_shard] = []
-            for s, lps in enumerate(cur_shards):
-                for lp in lps:
-                    shard_of[lp] = s
-            for x in survivors:
-                sblob = store.get(x) if c >= 0 else None
-                if sblob is not None:
-                    engine, scenario, f2n, n2f, payload = (
-                        _restore_shard_from_blob(
-                            sblob, self.assignment, self.num_lps,
-                            self.lookahead, spec, self.strict, self.queue,
-                            self.procs,
-                        )
-                    )
-                    engines[x] = engine
-                    built[x] = (scenario, f2n, n2f)
-                    mail_bytes[x] = int(payload["acc"]["mail_bytes"])
-                else:
-                    engines[x], built[x] = fresh_shard(x, cur_shards[x])
-                    mail_bytes[x] = 0
-            for lp in sorted(installs):
-                _install_lp_migration(
-                    engines[adopter], built[adopter][0], built[adopter][2],
-                    installs[lp],
-                )
-            mail_bytes[dead_shard] = _synthesize_dead_result(blob)["mail_bytes"]
-            retained.clear()
-            dead_blob = blob
-            adoption_window = c
-            stats["adoptions"] += 1
-            _record_recovery_obs(
-                "adopt", c + 1, dead_shard, adopter=adopter,
-                committed_window=c,
-            )
-            return c
-
-        try:
-            wi = 0
-            while wi < len(boundaries):
-                w, start, end = boundaries[wi]
-                roll_to = None
-                for s in range(self.procs):
-                    if dead[s] or not plan_faults:
-                        continue
-                    while True:
-                        hit = next(
-                            (
-                                pf
-                                for pf in plan_faults
-                                if pf not in fired
-                                and pf.shard == s
-                                and pf.incarnation == incarnations[s]
-                                and pf.window <= w
-                            ),
-                            None,
-                        )
-                        if hit is None:
-                            break
-                        fired.add(hit)
-                        stats["detections"] += 1
-                        _record_recovery_obs(
-                            "detect", w, s, fault=hit.kind.value
-                        )
-                        attempts[s] += 1
-                        if rec.on_worker_loss == "fail":
-                            raise WorkerCrashError(
-                                f"shard {s} lost at window {w} with "
-                                "on_worker_loss='fail'"
-                            )
-                        if attempts[s] > rec.max_respawns:
-                            if rec.on_worker_loss == "adopt":
-                                roll_to = adopt_shard(s)
-                                break
-                            raise RecoveryExhaustedError(
-                                f"shard {s} lost {attempts[s]} times, "
-                                f"exceeding max_respawns={rec.max_respawns}; "
-                                "on_worker_loss='respawn' has no further rung"
-                            )
-                        if (
-                            adoption_window is not None
-                            and committed <= adoption_window
-                        ):
-                            raise RecoveryExhaustedError(
-                                f"shard {s} lost after a degraded adoption "
-                                "and before the next checkpoint commit; the "
-                                "dead shard's pre-adoption checkpoint is "
-                                "stale"
-                            )
-                        time.sleep(rec.backoff_s(attempts[s]))
-                        incarnations[s] += 1
-                        replayed = respawn_shard(s, w - 1)
-                        stats["respawns"] += 1
-                        stats["windows_replayed"] += replayed
-                        _record_recovery_obs(
-                            "respawn", w, s,
-                            attempt=attempts[s], replayed=replayed,
-                        )
-                    if roll_to is not None:
-                        break
-                if roll_to is not None:
-                    wi = roll_to + 1
-                    continue
-                payload_grid = []
-                rows[w] = []
-                for shard_id, engine in enumerate(engines):
-                    if dead[shard_id]:
-                        payload_grid.append([b""] * self.procs)
-                        continue
-                    engine.run_window(w, end)
-                    payloads = _encode_outbound(
-                        engine, shard_of, built[shard_id][1], self.procs
-                    )
-                    mail_bytes[shard_id] += sum(len(p) for p in payloads)
-                    payload_grid.append(payloads)
-                    rows[w].append(
-                        (
-                            engine.events_this_window.tolist(),
-                            engine.remote_this_window.tolist(),
-                        )
-                    )
-                for shard_id, engine in enumerate(engines):
-                    if dead[shard_id]:
-                        continue
-                    inbound = [
-                        payload_grid[src][shard_id]
-                        for src in range(self.procs)
-                    ]
-                    _deliver_encoded_mail(
-                        engine, inbound, end, built[shard_id][2]
-                    )
-                if rebalancer is not None and not rebalancer.retired:
-                    events_sum = np.zeros(self.num_lps, dtype=np.int64)
-                    xshard_sum = np.zeros(self.num_lps, dtype=np.int64)
-                    for engine in engines:
-                        events_sum += engine.events_this_window
-                        xshard_sum += engine.xshard_this_window
-                    decision = rebalancer.observe_window(
-                        w, start, end, events_sum, xshard_sum
-                    )
-                    rb_prev = _record_rebalance_counters(rebalancer, rb_prev)
-                    if decision is not None:
-                        # Same wire round-trip as the mp backend: the
-                        # payload passes through repro.serialization
-                        # even in-process.
-                        src, dst = decision.src_shard, decision.dst_shard
-                        blob = _encode_lp_migration(
-                            engines[src], built[src][0], built[src][1],
-                            decision.lp,
-                        )
-                        _install_lp_migration(
-                            engines[dst], built[dst][0], built[dst][2], blob
-                        )
-                        shard_of[decision.lp] = dst
-                        migrations.append(decision)
-                        _record_migration_obs(decision, len(blob))
-                if rec_on:
-                    retained[w] = payload_grid
-                    if rec.is_checkpoint_window(w):
-                        for shard_id in range(self.procs):
-                            if dead[shard_id]:
-                                continue
-                            blob = _encode_worker_checkpoint(
-                                engines[shard_id],
-                                built[shard_id][0],
-                                built[shard_id][1],
-                                w,
-                                mail_bytes[shard_id],
-                            )
-                            store.put(
-                                shard_id, w, checkpoint_digest(blob), blob
-                            )
-                            _record_recovery_obs(
-                                "checkpoint", w, shard_id, nbytes=len(blob)
-                            )
-                        committed = w
-                        for rw in [x for x in retained if x <= w]:
-                            del retained[rw]
-                if self._obs.enabled and w > max_obs_window:
-                    self._obs_windows.inc()
-                    self._obs_window_hist.observe(
-                        float(sum(sum(cols) for cols, _remote in rows[w]))
-                    )
-                max_obs_window = max(max_obs_window, w)
-                wi += 1
-            results = [
-                _shard_result(engine, built[shard_id][0])
-                if not dead[shard_id]
-                else _synthesize_dead_result(dead_blob)
-                for shard_id, engine in enumerate(engines)
-            ]
-        finally:
-            if store is not None:
-                store.close()
-        if migrations:
-            final_shards: list[list[int]] = [[] for _ in range(self.procs)]
-            for lp in range(self.num_lps):
-                final_shards[int(shard_of[lp])].append(lp)
-        elif rec_on and stats["adoptions"]:
-            final_shards = [list(s) for s in cur_shards]
-        else:
-            final_shards = [list(s) for s in self.shards]
-        recovery_summary = None
-        if rec_on:
-            recovery_summary = {
-                "checkpoints_taken": int(store.checkpoints_taken),
-                "checkpoint_bytes": int(store.checkpoint_bytes),
-                "detections": stats["detections"],
-                "respawns": stats["respawns"],
-                "windows_replayed": stats["windows_replayed"],
-                "adoptions": stats["adoptions"],
-                "committed_window": committed,
-                "dead_shards": [
-                    s for s in range(self.procs) if dead[s]
-                ],
-            }
-        return ParallelRunResult(
-            procs=self.procs,
-            until=float(until),
-            lookahead=self.lookahead,
-            shards=final_shards,
-            window_stats=_merge_window_rows(self.num_lps, rows, boundaries),
-            events_executed=int(sum(r["events_executed"] for r in results)),
-            lookahead_violations=int(
-                sum(r["lookahead_violations"] for r in results)
-            ),
-            wall_s=wall.elapsed(),
-            barrier_wait_s=[0.0] * self.procs,
-            mail_bytes=mail_bytes,
-            worker_events=[r["events_executed"] for r in results],
-            collected=[r["collect"] for r in results],
-            migrations=migrations,
-            recovery=recovery_summary,
-        )
+    def _open_transport(self):
+        """The transport the workers run over: direct calls in-process."""
+        return _InProcessTransport()

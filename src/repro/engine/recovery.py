@@ -172,7 +172,6 @@ class _StoredCheckpoint:
     digest: str
     blob: bytes | None  # None when spilled to disk
     path: Path | None = None
-    nbytes: int = 0
 
 
 @dataclass
@@ -203,21 +202,13 @@ class CheckpointStore:
         prev = self._latest.get(shard_id)
         if prev is not None and prev.path is not None:
             prev.path.unlink(missing_ok=True)
-        stored = _StoredCheckpoint(
-            window_index=window_index, digest=digest, blob=blob, nbytes=len(blob)
-        )
+        stored = _StoredCheckpoint(window_index, digest, blob)
         if self.spill_dir is not None:
             root = Path(self.spill_dir)
             root.mkdir(parents=True, exist_ok=True)
-            path = root / f"ckpt-shard{shard_id}-w{window_index}.bin"
-            path.write_bytes(blob)
-            stored = _StoredCheckpoint(
-                window_index=window_index,
-                digest=digest,
-                blob=None,
-                path=path,
-                nbytes=len(blob),
-            )
+            stored.path = root / f"ckpt-shard{shard_id}-w{window_index}.bin"
+            stored.path.write_bytes(blob)
+            stored.blob = None
         self._latest[shard_id] = stored
         self.checkpoints_taken += 1
         self.checkpoint_bytes += len(blob)
@@ -243,26 +234,9 @@ class CheckpointStore:
             )
         return blob
 
-    def common_window(self, shard_ids: list[int]) -> int:
-        """The newest window checkpointed by *every* listed shard.
-
-        The consistent cut a global rollback (degraded adoption) can
-        restore to; ``-1`` when some shard has no checkpoint yet, in
-        which case rollback means a fresh rebuild from window 0.
-        """
-        if not shard_ids:
-            return -1
-        windows = [self.latest_window(s) for s in shard_ids]
-        low = min(windows)
-        return low
-
-    def drop(self, shard_id: int) -> None:
-        """Forget a shard's checkpoint (after its LPs were adopted)."""
-        stored = self._latest.pop(shard_id, None)
-        if stored is not None and stored.path is not None:
-            stored.path.unlink(missing_ok=True)
-
     def close(self) -> None:
-        """Remove any spilled checkpoint files."""
-        for shard_id in list(self._latest):
-            self.drop(shard_id)
+        """Forget every checkpoint and remove any spilled files."""
+        for stored in self._latest.values():
+            if stored.path is not None:
+                stored.path.unlink(missing_ok=True)
+        self._latest.clear()

@@ -240,7 +240,8 @@ class RegistrySnapshot:
             if v != prev.counters.get(n, 0.0)
         }
         vectors = {}
-        for n, v in self.vectors.items():
+        for n in sorted(self.vectors):
+            v = self.vectors[n]
             old = prev.vectors.get(n)
             if old is None or old.shape != v.shape:
                 if v.any():
@@ -248,12 +249,14 @@ class RegistrySnapshot:
             elif (v != old).any():
                 vectors[n] = v - old
         gauges = {}
-        for n, v in self.gauges.items():
+        for n in sorted(self.gauges):
+            v = self.gauges[n]
             old = prev.gauges.get(n)
             if old is None or old.shape != v.shape or (v != old).any():
                 gauges[n] = v.copy()
         histograms = {}
-        for n, (bounds, counts, total) in self.histograms.items():
+        for n in sorted(self.histograms):
+            bounds, counts, total = self.histograms[n]
             old = prev.histograms.get(n)
             if old is None or old[0] != bounds:
                 if counts.any() or total:
@@ -261,12 +264,14 @@ class RegistrySnapshot:
             elif (counts != old[1]).any() or total != old[2]:
                 histograms[n] = (bounds, counts - old[1], total - old[2])
         timers = {}
-        for n, (count, total_s) in self.timers.items():
+        for n in sorted(self.timers):
+            count, total_s = self.timers[n]
             oc, ot = prev.timers.get(n, (0, 0.0))
             if count != oc or total_s != ot:
                 timers[n] = (count - oc, total_s - ot)
         series = {}
-        for n, (size, bin_s, matrix) in self.series.items():
+        for n in sorted(self.series):
+            size, bin_s, matrix = self.series[n]
             old = prev.series.get(n)
             if old is None or old[0] != size or old[1] != bin_s:
                 if matrix.any():

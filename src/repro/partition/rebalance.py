@@ -222,10 +222,11 @@ def lp_affinity(
 class Rebalancer:
     """Controller-side trigger/candidate/score loop over barrier windows.
 
-    One instance lives on the multi-process controller (or the
-    :class:`~repro.engine.parallel.LocalShardGroup` driver). Each
-    barrier, :meth:`observe_window` ingests the window's merged per-LP
-    counters; when the trailing blame concentration crosses the
+    One instance lives on the controller of
+    :class:`~repro.engine.parallel.ParallelConservativeEngine` (whose
+    in-process variant, ``LocalShardGroup``, runs the same controller).
+    Each barrier, :meth:`observe_window` ingests the window's merged
+    per-LP counters; when the trailing blame concentration crosses the
     configured threshold it generates single-LP moves off the blamed
     shard, scores every candidate placement with
     :func:`repro.obs.whatif.score_lp_placements` over the trailing busy

@@ -62,7 +62,7 @@ _WIRE_MAGIC = b"RPW"
 
 
 class PayloadFormatError(ValueError):
-    """A cross-process payload had the wrong magic or wire version."""
+    """A cross-process payload had the wrong magic or version, or a corrupt body."""
 
 
 # ----------------------------------------------------------------------
@@ -274,7 +274,11 @@ def encode_payload(obj: Any) -> bytes:
 
 
 def decode_payload(data: bytes) -> Any:
-    """Inverse of :func:`encode_payload`, validating magic and version."""
+    """Inverse of :func:`encode_payload`, validating magic and version.
+
+    Any failure to unpickle the body — a truncated frame, for one —
+    raises :class:`PayloadFormatError` chained to pickle's own error.
+    """
     if len(data) < len(_WIRE_MAGIC) + 1 or not data.startswith(_WIRE_MAGIC):
         raise PayloadFormatError(
             "not a repro wire payload (bad magic); controller and worker "
@@ -286,7 +290,15 @@ def decode_payload(data: bytes) -> Any:
             f"wire version mismatch: payload v{version}, this process "
             f"speaks v{WIRE_VERSION}"
         )
-    return pickle.loads(data[len(_WIRE_MAGIC) + 1 :])
+    try:
+        return pickle.loads(data[len(_WIRE_MAGIC) + 1 :])
+    except Exception as exc:  # noqa: BLE001 - truncated or corrupt pickle
+        # A cut or mangled body fails inside pickle with whatever the
+        # opcode at the break raises (UnpicklingError, EOFError,
+        # ValueError, ...); callers get one typed error for all of them.
+        raise PayloadFormatError(
+            f"corrupt wire payload body ({type(exc).__name__}: {exc})"
+        ) from exc
 
 
 def encode_mail_batch(items: list[tuple]) -> bytes:

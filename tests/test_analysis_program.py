@@ -151,6 +151,40 @@ class TestReachability:
         assert "repro.k:SimKernel.dispatch" in prog.reachable
         assert "repro.k:offline_report" not in prog.reachable
 
+    def test_worker_side_entry_points_are_seeded(self):
+        # The multi-process workers execute LP code through ShardEngine
+        # (driven by the ShardWorker step), not through ConservativeEngine.
+        prog = build_program(
+            {
+                "repro/engine/parallel.py": (
+                    "class ShardEngine:\n"
+                    "    def run_window(self, w, end):\n"
+                    "        self._run_lp_queue(0, end)\n"
+                    "    def _run_lp_queue(self, local, end):\n"
+                    "        pass\n"
+                    "    def schedule_at(self, t, fn, node=-1, args=()):\n"
+                    "        pass\n"
+                    "class ShardWorker:\n"
+                    "    def start(self):\n"
+                    "        pass\n"
+                    "    def handle(self, msg):\n"
+                    "        self._end_round(msg[1])\n"
+                    "    def _end_round(self, w):\n"
+                    "        pass\n"
+                )
+            }
+        )
+        mod = "repro.engine.parallel"
+        for entry in (
+            "ShardEngine.run_window",
+            "ShardEngine.schedule_at",
+            "ShardWorker.start",
+            "ShardWorker.handle",
+        ):
+            assert f"{mod}:{entry}" in prog.seeds
+        assert f"{mod}:ShardEngine._run_lp_queue" in prog.reachable
+        assert f"{mod}:ShardWorker._end_round" in prog.reachable
+
     def test_scheduled_handler_is_seeded(self):
         prog = build_program(
             {

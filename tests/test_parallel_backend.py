@@ -340,3 +340,87 @@ class TestFromMapping:
             self._mapping(float("inf")), lookahead=1.0
         )
         assert engine.lookahead == 1.0
+
+
+#: A controller that runs a long two-worker fork run whose workers each
+#: drop a file named after their PID into ``argv[1]`` once built.
+_ORPHAN_CONTROLLER = r"""
+import os
+import sys
+
+from repro.engine.parallel import ParallelConservativeEngine, ScenarioSpec
+from repro.experiments.shard import build_chain_scenario, chain_spec
+
+
+def pid_builder(engine, params):
+    open(os.path.join(params["pid_dir"], str(os.getpid())), "w").close()
+    return build_chain_scenario(engine, params)
+
+
+params = dict(chain_spec(num_nodes=8, latency_s=1e-3, packets=20).params)
+params["pid_dir"] = sys.argv[1]
+engine = ParallelConservativeEngine([0] * 4 + [1] * 4, 2, 1e-3, procs=2)
+engine.run_scenario(ScenarioSpec("__main__:pid_builder", params), until=60.0)
+"""
+
+
+def _pid_alive(pid: int) -> bool:
+    """True while ``pid`` runs; an unreaped zombie has exited."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            state = fh.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return state not in ("Z", "X")
+
+
+class TestTeardown:
+    """Failed runs end fast and never strand a worker process."""
+
+    def test_failed_fork_run_raises_within_a_second(self):
+        engine = ParallelConservativeEngine(
+            ASSIGNMENT, 2, LOOKAHEAD, procs=2, start_method="fork",
+            window_timeout_s=30.0,
+        )
+        spec = ScenarioSpec(builder=f"{__name__}:crash_builder")
+        watch = time.monotonic()
+        with pytest.raises(WorkerCrashError):
+            engine.run_scenario(spec, until=1.0)
+        assert time.monotonic() - watch < 1.0
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self"), reason="reads process state from /proc"
+    )
+    def test_workers_of_a_killed_controller_exit(self, tmp_path):
+        import signal
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        controller = subprocess.Popen(
+            [sys.executable, "-c", _ORPHAN_CONTROLLER, str(tmp_path)], env=env
+        )
+        pids: list[int] = []
+        try:
+            deadline = time.monotonic() + 30.0
+            while len(pids) < 2:
+                assert controller.poll() is None, "controller exited early"
+                assert time.monotonic() < deadline, "workers never started"
+                time.sleep(0.05)
+                pids = [int(name) for name in os.listdir(tmp_path)]
+            time.sleep(0.3)  # both workers are inside the window loop
+            controller.kill()
+            controller.wait()
+            deadline = time.monotonic() + 2.0
+            while any(_pid_alive(p) for p in pids) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert not [p for p in pids if _pid_alive(p)]
+        finally:
+            controller.kill()
+            controller.wait()
+            for pid in pids:
+                if _pid_alive(pid):
+                    os.kill(pid, signal.SIGKILL)

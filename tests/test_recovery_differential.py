@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.parallel import (
     LocalShardGroup,
@@ -269,3 +271,134 @@ class TestLocalGroupParity:
         _assert_matches(result, ref2)
         assert result.recovery["adoptions"] == 1
         assert result.shards[1] == []
+
+
+_fault = st.builds(
+    ProcessFault,
+    window=st.integers(0, 499),
+    shard=st.integers(0, 3),
+    kind=st.sampled_from(list(ProcessFaultKind)),
+    incarnation=st.integers(0, 2),
+    after_send=st.booleans(),
+)
+
+
+class TestFuzzedFaultPlans:
+    """Drawn fault plans through the real controller, in-process.
+
+    Every run either matches the uninterrupted reference or raises the
+    documented typed error: `WorkerCrashError` exactly when
+    ``on_worker_loss="fail"`` meets a fault that fires, and
+    `RecoveryExhaustedError` only when some shard is planned to die
+    more often than ``max_respawns`` allows.
+    """
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        procs=st.integers(2, 4),
+        faults=st.lists(_fault, min_size=1, max_size=3),
+        cadence=st.integers(1, 48),
+        max_respawns=st.integers(0, 2),
+        mode=st.sampled_from(["respawn", "adopt", "fail"]),
+    )
+    def test_recovers_or_raises_typed(
+        self, ref4, procs, faults, cadence, max_respawns, mode
+    ):
+        faults = [pf for pf in faults if pf.shard < procs] or [
+            ProcessFault(faults[0].window, procs - 1, faults[0].kind)
+        ]
+        group = LocalShardGroup(
+            ASSIGN4, 4, LATENCY_S, procs=procs,
+            recovery=RecoveryConfig(
+                checkpoint_every_n_windows=cadence,
+                max_respawns=max_respawns,
+                on_worker_loss=mode,
+                backoff_base_s=0.0,
+                fault_plan=FaultPlan.from_faults(faults),
+            ),
+        )
+        per_shard = [sum(pf.shard == s for pf in faults) for s in range(procs)]
+        fires_first = any(pf.incarnation == 0 for pf in faults)
+        try:
+            result = group.run_scenario(_spec(), until=UNTIL)
+        except WorkerCrashError:
+            assert mode == "fail" and fires_first
+            return
+        except RecoveryExhaustedError:
+            assert mode != "fail" and max(per_shard) > max_respawns
+            return
+        assert not (mode == "fail" and fires_first)
+        merged = _assert_matches(result, ref4)
+        assert merged["events_executed"] == ref4["events_executed"]
+        rec = result.recovery
+        assert rec["respawns"] + rec["adoptions"] == rec["detections"]
+        assert rec["detections"] <= len(faults)
+        assert len(rec["dead_shards"]) == rec["adoptions"]
+
+
+class TestRespawnAfterAdoption:
+    """A respawn after a degraded adoption routes by the new placement.
+
+    Shard 2 is adopted by shard 0, then shard 3 dies and respawns: its
+    mail to LP 2 must reach the adopter, not the dead shard.
+    """
+
+    PLAN = FaultPlan.from_faults([
+        ProcessFault(20, 2, ProcessFaultKind.SIGKILL, incarnation=0),
+        ProcessFault(40, 2, ProcessFaultKind.SIGKILL, incarnation=1),
+        ProcessFault(60, 3, ProcessFaultKind.SIGKILL, incarnation=0),
+    ])
+
+    def _config(self):
+        return RecoveryConfig(
+            checkpoint_every_n_windows=8, max_respawns=1,
+            on_worker_loss="adopt", backoff_base_s=0.0, fault_plan=self.PLAN,
+        )
+
+    def test_fork_byte_identity(self, ref4):
+        result = _mp(_spec(), 4, ASSIGN4, 4, recovery=self._config())
+        _assert_matches(result, ref4)
+        assert result.recovery["adoptions"] == 1
+        assert result.recovery["respawns"] == 2
+        assert result.shards == [[0, 2], [1], [], [3]]
+
+    def test_in_process_byte_identity(self, ref4):
+        group = LocalShardGroup(ASSIGN4, 4, LATENCY_S, procs=4, recovery=self._config())
+        result = group.run_scenario(_spec(), until=UNTIL)
+        _assert_matches(result, ref4)
+        assert result.recovery["respawns"] == 2
+
+
+class TestTwoAdoptions:
+    """Each adopted shard stands in with its own committed blob.
+
+    Shard 2 is adopted at the start, shard 1 three windows later; the
+    merged result must count each dead shard's pre-adoption sums once.
+    A second loss before any commit since the first adoption is the
+    documented typed failure, not a silent loss of the adopted LPs.
+    """
+
+    def _group(self, cadence, first_window, second_window):
+        plan = FaultPlan.from_faults([
+            ProcessFault(first_window, 2, ProcessFaultKind.SIGKILL),
+            ProcessFault(second_window, 1, ProcessFaultKind.SIGKILL),
+        ])
+        return LocalShardGroup(
+            ASSIGN4, 4, LATENCY_S, procs=4,
+            recovery=RecoveryConfig(
+                checkpoint_every_n_windows=cadence, max_respawns=0,
+                on_worker_loss="adopt", backoff_base_s=0.0, fault_plan=plan,
+            ),
+        )
+
+    def test_byte_identity(self, ref4):
+        group = self._group(cadence=1, first_window=0, second_window=3)
+        result = group.run_scenario(_spec(), until=UNTIL)
+        _assert_matches(result, ref4)
+        assert result.recovery["adoptions"] == 2
+        assert result.recovery["dead_shards"] == [1, 2]
+
+    def test_loss_before_next_commit_raises(self):
+        group = self._group(cadence=16, first_window=20, second_window=30)
+        with pytest.raises(RecoveryExhaustedError, match="before the next"):
+            group.run_scenario(_spec(), until=UNTIL)

@@ -6,12 +6,23 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import Approach, MappingPipeline
 from repro.profilers import TrafficProfile
 from repro.routing import ForwardingPlane
 from repro.routing.bgp import configure_bgp
 from repro.serialization import (
+    PayloadFormatError,
+    decode_checkpoint,
+    decode_mail_batch,
+    decode_migration,
+    decode_replay_buffer,
+    encode_checkpoint,
+    encode_mail_batch,
+    encode_migration,
+    encode_replay_buffer,
     load_mapping_assignment,
     load_network,
     load_profile,
@@ -152,3 +163,60 @@ class TestResultSerialization:
         loaded = json.loads(path.read_text())
         assert loaded["network_kind"] == "single-as"
         assert loaded["total_events"] == result.total_events
+
+
+class TestTruncatedWirePayloads:
+    """Every strict prefix of a wire payload is a typed decode error."""
+
+    _events = st.lists(
+        st.tuples(
+            st.integers(0, 7),
+            st.integers(-1, 50),
+            st.floats(0.0, 10.0, allow_nan=False),
+            st.tuples(st.integers(0, 9), st.integers(0, 7), st.integers(0, 999)),
+            st.sampled_from(["deliver", "inject", "hop"]),
+            st.tuples(st.integers(0, 2**40), st.binary(max_size=8)),
+        ),
+        max_size=4,
+    )
+
+    @staticmethod
+    def _assert_every_prefix_is_typed(blob, decode):
+        for cut in range(len(blob)):
+            with pytest.raises(PayloadFormatError):
+                decode(blob[:cut])
+
+    @settings(max_examples=15, deadline=None)
+    @given(items=_events)
+    def test_mail_batch(self, items):
+        self._assert_every_prefix_is_typed(encode_mail_batch(items), decode_mail_batch)
+
+    @settings(max_examples=15, deadline=None)
+    @given(lp=st.integers(1, 7), items=_events, state=st.binary(max_size=16))
+    def test_migration(self, lp, items, state):
+        blob = encode_migration({"lp": lp, "events": items, "state": state})
+        self._assert_every_prefix_is_typed(blob, decode_migration)
+
+    @settings(max_examples=15, deadline=None)
+    @given(window=st.integers(0, 500), items=_events, now=st.floats(0.0, 1.0))
+    def test_checkpoint(self, window, items, now):
+        blob = encode_checkpoint({
+            "shard_id": 1,
+            "window_index": window,
+            "engine": {"now": now, "queues": {1: [item[1:] for item in items]}},
+            "acc": {"mail_bytes": 7},
+        })
+        self._assert_every_prefix_is_typed(blob, decode_checkpoint)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        entries=st.lists(
+            st.tuples(
+                st.integers(0, 500), st.lists(st.binary(max_size=12), max_size=3)
+            ),
+            max_size=4,
+        )
+    )
+    def test_replay_buffer(self, entries):
+        blob = encode_replay_buffer(entries)
+        self._assert_every_prefix_is_typed(blob, decode_replay_buffer)
